@@ -16,9 +16,7 @@ from .core import (
     TruncationError,
     bilateral_sum,
     character,
-    gaussian_integral,
     hermite_poly,
-    hermitian_pairing,
 )
 from .quadrature import LineScheme, StripScheme, line_inner_product, strip_inner_product
 from .theta import (
@@ -63,7 +61,7 @@ from .landau import (
     eigen_residual,
     landau_apply,
 )
-from .verify import VerifyCase, VerifyReport, run_acceptance, verify_suite
+from .verify import VerifyCase, VerifyReport, run_acceptance
 
 __version__ = "0.1.0"
 
@@ -97,11 +95,9 @@ __all__ = [
     "creation_apply",
     "e_norm",
     "eigen_residual",
-    "gaussian_integral",
     "generating_kernel_G",
     "generating_kernel_sum",
     "hermite_poly",
-    "hermitian_pairing",
     "jacobi_theta3",
     "landau_apply",
     "line_inner_product",
@@ -119,5 +115,4 @@ __all__ = [
     "theta3_periodicity_factor",
     "theta_member",
     "theta_membership",
-    "verify_suite",
 ]

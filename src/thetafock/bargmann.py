@@ -24,14 +24,13 @@ law.  The inverse transform pairs a member f against G:
     (B^-1 f)(q) = <f, G(., q)>  (strip inner product).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
-from .fock import FockElement, SpaceParams, basis_psi
+from .fock import FockElement, SpaceParams, _Expansion, basis_psi
 from .quadrature import SQRT2, StripScheme, _evaluate_on, _trapezoid_weights, strip_inner_product
 from .theta import ThetaArgs, jacobi_theta3, riemann_theta
 
@@ -43,53 +42,29 @@ def phi_basis(n, q, alpha):
     return complex(vals) if qq.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
-class LineElement:
+@dataclass(frozen=True, init=False)
+class LineElement(_Expansion):
     """Finite combination sum b_n phi_n in the line space."""
 
     alpha: float
     coeffs: tuple
 
+    SPACE = "alpha"
+
     def __init__(self, alpha, coeffs):
         if not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite, got {alpha}")
-        object.__setattr__(self, "alpha", float(alpha))
-        cleaned = tuple(sorted((int(n), complex(b)) for n, b in dict(coeffs).items()))
-        object.__setattr__(self, "coeffs", cleaned)
+        super().__init__(float(alpha), coeffs)
 
-    def coeff_dict(self):
-        return dict(self.coeffs)
+    def _mode(self, n, q):
+        return phi_basis(n, q, self.alpha)
 
-    def evaluate(self, q):
-        qq = np.asarray(q, dtype=complex)
-        total = np.zeros(qq.shape, dtype=complex)
-        for n, b in self.coeffs:
-            total = total + b * phi_basis(n, qq, self.alpha)
-        return complex(total) if qq.ndim == 0 else total
+    def _header(self):
+        return {"alpha": self.alpha}
 
-    __call__ = evaluate
-
-    def norm(self):
-        return math.sqrt(math.fsum(abs(b) ** 2 for _, b in self.coeffs))
-
-    def to_dict(self):
-        return {"alpha": self.alpha, "coeffs": [{"n": n, "re": b.real, "im": b.imag} for n, b in self.coeffs]}
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            alpha = float(data["alpha"])
-            coeffs = {int(c["n"]): complex(float(c["re"]), float(c["im"])) for c in data["coeffs"]}
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed element record: {exc}") from exc
-        return cls(alpha, coeffs)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+    @staticmethod
+    def _space_from(data):
+        return float(data["alpha"])
 
 
 def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):

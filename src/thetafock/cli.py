@@ -5,9 +5,10 @@ Bargmann transform forward and backward on serialized elements, apply the
 Landau operator and its ladder shifts, and execute the acceptance suite.
 Output is JSON by default or CSV with --format csv (complex values flatten
 into paired _re/_im columns).  Complex literals on the command line use
-the form a+bi.  Output is always plain text, so NO_COLOR needs no special
-handling.  Exit codes: 0 success, 1 domain or numerical error, 2
-verification failure, 64 usage error.
+the form a+bi, spaced from their option or joined to it with '='.  Output
+is always plain text, so NO_COLOR needs no special handling.  Exit codes:
+0 success, 1 domain or numerical error, 2 verification failure, 64 usage
+error.
 """
 
 import argparse
@@ -35,6 +36,21 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+_COMPLEX_OPTIONS = ("--tau", "--z", "--w")
+
+
+def _join_complex_values(argv):
+    """Join a complex-valued option to a following '-'-led value (--z -1+2i
+    becomes --z=-1+2i), which argparse would otherwise read as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def parse_complex(text):
@@ -282,7 +298,7 @@ def run_command(argv):
     """Execute one subcommand; returns (exit code, textual output)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_complex_values(argv))
         code, payload, rows = args.handler(args)
         return code, _format(payload, rows, args.format)
     except UsageError as exc:

@@ -1,15 +1,10 @@
 """Scalar building blocks shared by every module in the package.
 
-Hermite polynomials in the physicists' convention, the Gaussian integral
-with a complex linear term,
-
-    integral over R of exp(-a*y**2 + b*y) dy = sqrt(pi/a) * exp(b**2 / (4a)),
-
-the unit circle character m -> exp(2*pi*i*alpha*m), and the Hermitian
-pairing z * conj(w).  Also the bilateral series driver used by the theta
-sums, the reproducing kernel and the membership norms: terms are added
-symmetrically outward from a center index until the one-sided tails are
-certifiably below the requested tolerance.
+Hermite polynomials in the physicists' convention and the unit circle
+character m -> exp(2*pi*i*alpha*m).  Also the bilateral series driver used
+by the theta sums, the reproducing kernel and the membership norms: terms
+are added symmetrically outward from a center index until the one-sided
+tails are certifiably below the requested tolerance.
 """
 
 import cmath
@@ -76,17 +71,6 @@ def hermite_poly(m, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def gaussian_integral(a, b):
-    """Closed form of integral exp(-a*y^2 + b*y) dy over the real line.
-
-    Requires a > 0 real; b may be complex.  Equals sqrt(pi/a) * exp(b^2/(4a)).
-    """
-    if not (np.isreal(a) and float(np.real(a)) > 0.0):
-        raise DomainError(f"Gaussian decay rate must be real and positive, got {a}")
-    a = float(np.real(a))
-    return cmath.sqrt(math.pi / a) * cmath.exp(complex(b) ** 2 / (4.0 * a))
-
-
 def character(alpha, m):
     """Unit circle character chi_alpha(m) = exp(2*pi*i*alpha*m) for integer m.
 
@@ -101,11 +85,6 @@ def character(alpha, m):
         raise DomainError(f"character exponent must be finite, got {alpha}")
     frac = float((Fraction(float(alpha)) * int(m)) % 1)
     return cmath.exp(2j * math.pi * frac)
-
-
-def hermitian_pairing(z, w):
-    """Pointwise Hermitian pairing z * conj(w)."""
-    return complex(z) * complex(w).conjugate()
 
 
 def bilateral_sum(term, center, budget=DEFAULT_BUDGET):

@@ -58,6 +58,83 @@ class SpaceParams:
             raise DomainError(f"alpha must be finite, got {self.alpha}")
 
 
+class _Expansion:
+    """Finite expansion sum c_k b_k over one family of modes b_k.
+
+    Subclasses are frozen dataclasses whose two fields are the space (a
+    SpaceParams under "params", or the bare alpha of the line) and the
+    sorted tuple `coeffs` of (key, complex coefficient) pairs.  Each
+    supplies the mode function `_mode(key, z)`, its key fields KEYS, the
+    record header (`_header` / `_space_from`, nu and alpha by default) and
+    `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
+    Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
+    """
+
+    SPACE = "params"
+    KEYS = ("n",)
+
+    def __init__(self, space, coeffs):
+        object.__setattr__(self, self.SPACE, space)
+        cleaned = tuple(sorted((self._clean_key(k), complex(c)) for k, c in dict(coeffs).items()))
+        object.__setattr__(self, "coeffs", cleaned)
+
+    @staticmethod
+    def _clean_key(key):
+        return int(key)
+
+    def weight(self, key):
+        return 1.0
+
+    def coeff_dict(self):
+        return dict(self.coeffs)
+
+    def evaluate(self, z):
+        zz = np.asarray(z, dtype=complex)
+        total = np.zeros(zz.shape, dtype=complex)
+        for key, c in self.coeffs:
+            total = total + c * self._mode(key, zz)
+        return complex(total) if zz.ndim == 0 else total
+
+    __call__ = evaluate
+
+    def norm(self):
+        """Parseval norm sqrt(sum |c_k|^2 ||b_k||^2)."""
+        return math.sqrt(math.fsum(abs(c) ** 2 * self.weight(k) ** 2 for k, c in self.coeffs))
+
+    def _header(self):
+        return {"nu": self.params.nu, "alpha": self.params.alpha}
+
+    @staticmethod
+    def _space_from(data):
+        return SpaceParams(float(data["nu"]), float(data["alpha"]))
+
+    def to_dict(self):
+        rows = []
+        for key, c in self.coeffs:
+            fields = key if len(self.KEYS) > 1 else (key,)
+            rows.append({**dict(zip(self.KEYS, fields)), "re": c.real, "im": c.imag})
+        return {**self._header(), "coeffs": rows}
+
+    @classmethod
+    def from_dict(cls, data):
+        try:
+            space = cls._space_from(data)
+            coeffs = {}
+            for row in data["coeffs"]:
+                key = tuple(int(row[f]) for f in cls.KEYS)
+                coeffs[key if len(key) > 1 else key[0]] = complex(float(row["re"]), float(row["im"]))
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"malformed element record: {exc}") from exc
+        return cls(space, coeffs)
+
+    def to_json(self):
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_dict(json.loads(text))
+
+
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
     zz = np.asarray(z, dtype=complex)
@@ -84,8 +161,8 @@ def basis_psi(n, z, params):
     return complex(vals) if zz.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
-class FockElement:
+@dataclass(frozen=True, init=False)
+class FockElement(_Expansion):
     """Finite linear combination sum a_n e_n in the quasi-periodic space.
 
     Coefficients are stored against the unnormalized modes e_n; use
@@ -95,35 +172,20 @@ class FockElement:
     params: SpaceParams
     coeffs: tuple
 
-    def __init__(self, params, coeffs):
-        object.__setattr__(self, "params", params)
-        cleaned = tuple(sorted((int(n), complex(a)) for n, a in dict(coeffs).items()))
-        object.__setattr__(self, "coeffs", cleaned)
+    def _mode(self, n, z):
+        return basis_e(n, z, self.params)
+
+    def weight(self, n):
+        return e_norm(n, self.params)
 
     @classmethod
     def from_psi_coeffs(cls, params, coeffs):
         """Build from coefficients against the orthonormal modes psi_n."""
         return cls(params, {n: complex(c) / e_norm(n, params) for n, c in dict(coeffs).items()})
 
-    def coeff_dict(self):
-        return dict(self.coeffs)
-
     def psi_coeffs(self):
         """Coefficients against psi_n: c_n = a_n * ||e_n||."""
-        return {n: a * e_norm(n, self.params) for n, a in self.coeffs}
-
-    def evaluate(self, z):
-        zz = np.asarray(z, dtype=complex)
-        total = np.zeros(zz.shape, dtype=complex)
-        for n, a in self.coeffs:
-            total = total + a * basis_e(n, zz, self.params)
-        return complex(total) if zz.ndim == 0 else total
-
-    __call__ = evaluate
-
-    def norm(self):
-        """Parseval norm sqrt(sum |a_n|^2 ||e_n||^2)."""
-        return math.sqrt(math.fsum(abs(a) ** 2 * e_norm(n, self.params) ** 2 for n, a in self.coeffs))
+        return {n: a * self.weight(n) for n, a in self.coeffs}
 
     def dominant_index(self):
         """Mode index carrying the largest orthonormal coefficient."""
@@ -138,29 +200,6 @@ class FockElement:
         return self.scaled(c)
 
     __rmul__ = __mul__
-
-    def to_dict(self):
-        return {
-            "nu": self.params.nu,
-            "alpha": self.params.alpha,
-            "coeffs": [{"n": n, "re": a.real, "im": a.imag} for n, a in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            params = SpaceParams(float(data["nu"]), float(data["alpha"]))
-            coeffs = {int(c["n"]): complex(float(c["re"]), float(c["im"])) for c in data["coeffs"]}
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed element record: {exc}") from exc
-        return cls(params, coeffs)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def quasiperiod_factor(z, m, params):

@@ -25,14 +25,13 @@ finite differences (compact 9-point Laplacian and central first
 differences, each with one Richardson extrapolation step).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DomainError, hermite_poly
-from .fock import SpaceParams
+from .fock import SpaceParams, _Expansion
 
 MAX_LEVEL = 40
 
@@ -73,37 +72,24 @@ def basis_psi_mn(m, n, z, params):
     return complex(vals) if zz.ndim == 0 else vals
 
 
-@dataclass(frozen=True)
-class LandauElement:
+@dataclass(frozen=True, init=False)
+class LandauElement(_Expansion):
     """Finite combination sum c_{m,n} psi_{m,n} in the orthonormal eigenbasis."""
 
     params: SpaceParams
     coeffs: tuple
 
-    def __init__(self, params, coeffs):
-        object.__setattr__(self, "params", params)
-        cleaned = []
-        for (m, n), c in dict(coeffs).items():
-            if m < 0 or m != int(m):
-                raise DomainError(f"level must be a nonnegative integer, got {m}")
-            cleaned.append(((int(m), int(n)), complex(c)))
-        object.__setattr__(self, "coeffs", tuple(sorted(cleaned)))
+    KEYS = ("m", "n")
 
-    def coeff_dict(self):
-        return dict(self.coeffs)
+    @staticmethod
+    def _clean_key(key):
+        m, n = key
+        if m < 0 or m != int(m):
+            raise DomainError(f"level must be a nonnegative integer, got {m}")
+        return int(m), int(n)
 
-    def evaluate(self, z):
-        zz = np.asarray(z, dtype=complex)
-        total = np.zeros(zz.shape, dtype=complex)
-        for (m, n), c in self.coeffs:
-            total = total + c * basis_psi_mn(m, n, zz, self.params)
-        return complex(total) if zz.ndim == 0 else total
-
-    __call__ = evaluate
-
-    def norm(self):
-        """Parseval norm in the orthonormal eigenbasis."""
-        return math.sqrt(math.fsum(abs(c) ** 2 for _, c in self.coeffs))
+    def _mode(self, key, z):
+        return basis_psi_mn(*key, z, self.params)
 
     def raised(self):
         """Coefficient-level level shift psi_{m,n} -> psi_{m+1,n}."""
@@ -118,29 +104,6 @@ class LandauElement:
         """Orthogonal projection onto the eigenspace of eigenvalue nu*m."""
         return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == int(m)})
 
-    def to_dict(self):
-        return {
-            "nu": self.params.nu,
-            "alpha": self.params.alpha,
-            "coeffs": [{"m": m, "n": n, "re": c.real, "im": c.imag} for (m, n), c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            params = SpaceParams(float(data["nu"]), float(data["alpha"]))
-            coeffs = {(int(c["m"]), int(c["n"])): complex(float(c["re"]), float(c["im"])) for c in data["coeffs"]}
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed element record: {exc}") from exc
-        return cls(params, coeffs)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def _first_wirtinger(f, z, h, conjugate):
     """Central-difference d/dz (conjugate=False) or d/dzbar (conjugate=True)."""
@@ -149,9 +112,13 @@ def _first_wirtinger(f, z, h, conjugate):
     return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
 
 
-def _richardson(samples):
-    val_h, val_h2 = samples
+def _richardson(val_h, val_h2):
     return (4.0 * val_h2 - val_h) / 3.0
+
+
+def _wirtinger(f, z, h, conjugate):
+    """First Wirtinger derivative at steps h and h/2 with one Richardson step."""
+    return _richardson(_first_wirtinger(f, z, h, conjugate), _first_wirtinger(f, z, 0.5 * h, conjugate))
 
 
 def _mixed_second(f, z, h):
@@ -169,34 +136,24 @@ def _mixed_second(f, z, h):
         )
         return (4.0 * edges + corners - 20.0 * f0) / (6.0 * hh * hh)
 
-    return 0.25 * _richardson((lap(h), lap(0.5 * h)))
+    return 0.25 * _richardson(lap(h), lap(0.5 * h))
 
 
 def annihilation_apply(f, z, step=WirtingerStep()):
     """Finite-difference action of A = d/dzbar at a point."""
-    z = complex(z)
-    return _richardson(
-        (_first_wirtinger(f, z, step.h, True), _first_wirtinger(f, z, 0.5 * step.h, True))
-    )
+    return _wirtinger(f, complex(z), step.h, True)
 
 
 def creation_apply(f, z, params, step=WirtingerStep()):
     """Finite-difference action of A^* = -d/dz + nu*zbar at a point."""
     z = complex(z)
-    dz = _richardson(
-        (_first_wirtinger(f, z, step.h, False), _first_wirtinger(f, z, 0.5 * step.h, False))
-    )
-    return -dz + params.nu * z.conjugate() * complex(f(z))
+    return -_wirtinger(f, z, step.h, False) + params.nu * z.conjugate() * complex(f(z))
 
 
 def landau_apply(f, z, params, step=WirtingerStep()):
     """Finite-difference action of L = -d^2/(dz dzbar) + nu*zbar*d/dzbar."""
     z = complex(z)
-    mixed = _mixed_second(f, z, step.h)
-    dzbar = _richardson(
-        (_first_wirtinger(f, z, step.h, True), _first_wirtinger(f, z, 0.5 * step.h, True))
-    )
-    return -mixed + params.nu * z.conjugate() * dzbar
+    return -_mixed_second(f, z, step.h) + params.nu * z.conjugate() * _wirtinger(f, z, step.h, True)
 
 
 def eigen_residual(m, n, params, points, step=WirtingerStep()):

@@ -440,7 +440,3 @@ def run_acceptance(tol=None):
     wall = time.perf_counter() - start
     return VerifyReport("acceptance", tuple(cases), wall)
 
-
-def verify_suite(tol=None):
-    """Alias kept close to the command line verb."""
-    return run_acceptance(tol)

@@ -33,6 +33,14 @@ def test_parse_complex_rejects_garbage():
             parse_complex(bad)
 
 
+def test_negative_complex_values_spaced_or_joined():
+    theta = ["theta", "eval", "--alpha", "0", "--beta", "0"]
+    spaced = run_ok(theta + ["--tau", "-0.1+1i", "--z", "-0.5+0.1i"])
+    assert spaced == run_ok(theta + ["--tau=-0.1+1i", "--z=-0.5+0.1i"])
+    kernel = ["fock", "kernel", "--nu", "3.14", "--alpha", "0.3", "--z", "0.5"]
+    assert run_ok(kernel + ["--w", "-2i"]) == run_ok(kernel + ["--w=-2i"])
+
+
 def test_theta_eval_known_value():
     text = run_ok(["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i", "--z", "0+0i"])
     payload = json.loads(text)

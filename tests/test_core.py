@@ -1,11 +1,9 @@
-"""Scalar building blocks: Hermite recurrence, Gaussian integral, character."""
+"""Scalar building blocks: Hermite recurrence, character, bilateral sums."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +14,7 @@ from thetafock.core import (
     TruncationError,
     bilateral_sum,
     character,
-    gaussian_integral,
     hermite_poly,
-    hermitian_pairing,
 )
 
 
@@ -56,43 +52,6 @@ def test_hermite_overflow():
         hermite_poly(40, 1e60)
 
 
-def test_gaussian_integral_frozen_values():
-    assert gaussian_integral(1.0, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gaussian_integral(1.0, 2.0) == pytest.approx(math.sqrt(math.pi) * math.e, rel=1e-15)
-    val = gaussian_integral(2.0, 1j)
-    assert val == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-1.0 / 8.0), rel=1e-15)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    a=st.floats(min_value=0.5, max_value=3.0),
-    br=st.floats(min_value=-2.0, max_value=2.0),
-    bi=st.floats(min_value=-2.0, max_value=2.0),
-)
-def test_gaussian_integral_against_quadrature(a, br, bi):
-    b = complex(br, bi)
-    closed = gaussian_integral(a, b)
-
-    def integrand_re(y):
-        return (math.exp(-a * y * y) * cmath.exp(b * y)).real
-
-    def integrand_im(y):
-        return (math.exp(-a * y * y) * cmath.exp(b * y)).imag
-
-    re, _ = scipy.integrate.quad(integrand_re, -20.0, 20.0, limit=200)
-    im, _ = scipy.integrate.quad(integrand_im, -20.0, 20.0, limit=200)
-    assert abs(closed - complex(re, im)) <= 1e-9 * max(1.0, abs(closed))
-
-
-def test_gaussian_integral_domain():
-    with pytest.raises(DomainError):
-        gaussian_integral(0.0, 1.0)
-    with pytest.raises(DomainError):
-        gaussian_integral(-2.0, 1.0)
-    with pytest.raises(DomainError):
-        gaussian_integral(1.0 + 1.0j, 1.0)
-
-
 def test_character_frozen_value():
     val = character(0.3, 1)
     assert val.real == pytest.approx(math.cos(0.6 * math.pi), abs=1e-15)
@@ -120,13 +79,6 @@ def test_character_unit_modulus():
 def test_character_rejects_noninteger():
     with pytest.raises(DomainError):
         character(0.3, 0.5)
-
-
-def test_hermitian_pairing():
-    assert hermitian_pairing(1 + 2j, 3 - 4j) == (-5 + 10j)
-    z, w = 0.3 + 0.7j, -1.2 + 0.4j
-    assert hermitian_pairing(z, w) == hermitian_pairing(w, z).conjugate()
-    assert hermitian_pairing(z, z).imag == pytest.approx(0.0, abs=1e-16)
 
 
 def test_bilateral_sum_gaussian_series():

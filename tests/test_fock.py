@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetafock.bargmann import LineElement
 from thetafock.core import DomainError
 from thetafock.fock import (
     FockElement,
@@ -24,6 +25,7 @@ from thetafock.fock import (
     theta_member,
     theta_membership,
 )
+from thetafock.landau import LandauElement
 from thetafock.quadrature import StripScheme, strip_inner_product
 from thetafock.theta import ThetaArgs
 
@@ -137,6 +139,26 @@ def test_element_json_round_trip():
     back = FockElement.from_json(elem.to_json())
     assert back == elem
     assert back.to_dict() == elem.to_dict()
+
+
+def test_element_records_share_one_format():
+    params = SpaceParams(0.5, 0.25)
+    fock = FockElement(params, {1: 0.5 - 0.25j, -1: 2.0})
+    assert fock.to_json() == (
+        '{"nu": 0.5, "alpha": 0.25, "coeffs": ['
+        '{"n": -1, "re": 2.0, "im": 0.0}, {"n": 1, "re": 0.5, "im": -0.25}]}'
+    )
+    line = LineElement(0.25, {3: 1.5j, 0: -1.0})
+    assert line.to_json() == (
+        '{"alpha": 0.25, "coeffs": [{"n": 0, "re": -1.0, "im": 0.0}, {"n": 3, "re": 0.0, "im": 1.5}]}'
+    )
+    landau = LandauElement(params, {(2, -1): 0.75, (0, 4): 0.25 - 0.5j})
+    assert landau.to_json() == (
+        '{"nu": 0.5, "alpha": 0.25, "coeffs": ['
+        '{"m": 0, "n": 4, "re": 0.25, "im": -0.5}, {"m": 2, "n": -1, "re": 0.75, "im": 0.0}]}'
+    )
+    for elem in (fock, line, landau):
+        assert type(elem).from_json(elem.to_json()) == elem
 
 
 def test_element_rejects_malformed():

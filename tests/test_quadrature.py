@@ -102,6 +102,18 @@ def test_scalar_only_callable_fallback():
     assert abs(a - b) <= 1e-13
 
 
+def test_vectorized_error_propagates_without_pointwise_retry():
+    calls = []
+
+    def overflowing(z):
+        calls.append(np.shape(z))
+        raise OverflowError("mode overflowed")
+
+    with pytest.raises(OverflowError):
+        strip_inner_product(overflowing, _psi(0), PARAMS.nu, StripScheme())
+    assert len(calls) == 1
+
+
 def test_nonfinite_node_reported():
     bad = lambda z: np.where(np.abs(np.imag(z)) > 1.0, np.nan, 1.0) + 0j
     with pytest.raises(EvaluationError):
