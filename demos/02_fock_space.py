@@ -23,6 +23,7 @@ from thetafock import (
     e_norm,
     membership_log_partial_sums,
     quasiperiod_residual,
+    strip_gram,
     strip_inner_product,
     theta_member,
     theta_membership,
@@ -48,15 +49,10 @@ def main():
     print("=" * 72)
     print("2. Orthonormal basis psi_n = e_n / ||e_n||")
     print("=" * 72)
-    gram = np.empty((5, 5), dtype=complex)
-    for i, n in enumerate(range(-2, 3)):
-        for j, m in enumerate(range(-2, 3)):
-            gram[i, j] = strip_inner_product(
-                lambda z, n=n: basis_psi(n, z, params),
-                lambda z, m=m: basis_psi(m, z, params),
-                params.nu,
-                scheme,
-            )
+    # strip_gram centres each pair's rule on its Gaussian bump, at
+    # y = -pi*(alpha + (n+m)/2)/nu.
+    modes = [(n, lambda z, n=n: basis_psi(n, z, params)) for n in range(-2, 3)]
+    gram = strip_gram(modes, params.nu, params.alpha)
     print("max |Gram - Identity| over n,m in [-2,2]:",
           f"{np.max(np.abs(gram - np.eye(5))):.3e}")
 

@@ -18,7 +18,7 @@ from .core import (
     character,
     hermite_poly,
 )
-from .quadrature import LineScheme, StripScheme, line_inner_product, strip_inner_product
+from .quadrature import LineScheme, StripScheme, line_inner_product, strip_gram, strip_inner_product
 from .theta import (
     ThetaArgs,
     jacobi_theta3,
@@ -54,7 +54,6 @@ from .bargmann import (
 )
 from .landau import (
     LandauElement,
-    WirtingerStep,
     annihilation_apply,
     basis_psi_mn,
     creation_apply,
@@ -81,7 +80,6 @@ __all__ = [
     "TruncationError",
     "VerifyCase",
     "VerifyReport",
-    "WirtingerStep",
     "annihilation_apply",
     "bargmann_inverse",
     "bargmann_kernel_A",
@@ -110,6 +108,7 @@ __all__ = [
     "reproducing_kernel",
     "riemann_theta",
     "run_acceptance",
+    "strip_gram",
     "strip_inner_product",
     "theta3_inversion_rhs",
     "theta3_periodicity_factor",

@@ -138,15 +138,14 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
     )
 
 
-def bargmann_inverse(elem, q, budget=DEFAULT_BUDGET, scheme=None):
+def bargmann_inverse(elem, q, budget=DEFAULT_BUDGET):
     """Inverse transform of a finite member: (B^-1 f)(q) = <f, G(., q)>.
 
-    The strip scheme defaults to one recentered on the element's dominant
-    mode so the Gaussian bumps of the pairing sit under the rule.
+    The strip scheme is recentered on the element's dominant mode so the
+    Gaussian bumps of the pairing sit under the rule.
     """
     params = elem.params
-    if scheme is None:
-        scheme = StripScheme.centered(params.nu, params.alpha, elem.dominant_index())
+    scheme = StripScheme.centered(params.nu, params.alpha, elem.dominant_index())
     qq = np.asarray(q, dtype=float)
 
     def value(qval):

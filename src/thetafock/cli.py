@@ -22,7 +22,7 @@ from .core import DEFAULT_BUDGET, DomainError, EvaluationError, TruncationBudget
 from .bargmann import LineElement, bargmann_inverse, bargmann_transform_coeffs
 from .fock import FockElement, SpaceParams, basis_psi, reproducing_kernel, theta_membership
 from .landau import LandauElement, basis_psi_mn, eigen_residual, landau_apply
-from .quadrature import StripScheme, strip_inner_product
+from .quadrature import strip_gram
 from .theta import ThetaArgs, riemann_theta
 from .verify import SAMPLE_Z, run_acceptance
 
@@ -137,16 +137,10 @@ def _cmd_fock_gram(args):
         raise UsageError(f"--nmax must be >= --nmin, got {args.nmin}..{args.nmax}")
     levels = args.mlevels if args.mlevels is not None else 0
     modes = [(m, n) for m in range(0, levels + 1) for n in range(args.nmin, args.nmax + 1)]
+    fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m, n in modes]
     entries = []
-    for m1, n1 in modes:
-        for m2, n2 in modes:
-            scheme = StripScheme.centered(params.nu, params.alpha, (n1 + n2) / 2.0)
-            ip = strip_inner_product(
-                lambda z: basis_psi_mn(m1, n1, z, params),
-                lambda z: basis_psi_mn(m2, n2, z, params),
-                params.nu,
-                scheme,
-            )
+    for (m1, n1), row in zip(modes, strip_gram(fs, params.nu, params.alpha).tolist()):
+        for (m2, n2), ip in zip(modes, row):
             entries.append({"row_m": m1, "row_n": n1, "col_m": m2, "col_n": n2, "re": ip.real, "im": ip.imag})
     payload = {"nu": params.nu, "alpha": params.alpha, "entries": entries}
     return 0, payload, entries

@@ -58,6 +58,14 @@ class SpaceParams:
             raise DomainError(f"alpha must be finite, got {self.alpha}")
 
 
+def _index(value):
+    """Mode index as an int; a non-integral value raises instead of truncating."""
+    index = int(value)
+    if index != value:
+        raise DomainError(f"mode index must be an integer, got {value!r}")
+    return index
+
+
 class _Expansion:
     """Finite expansion sum c_k b_k over one family of modes b_k.
 
@@ -78,9 +86,7 @@ class _Expansion:
         cleaned = tuple(sorted((self._clean_key(k), complex(c)) for k, c in dict(coeffs).items()))
         object.__setattr__(self, "coeffs", cleaned)
 
-    @staticmethod
-    def _clean_key(key):
-        return int(key)
+    _clean_key = staticmethod(_index)
 
     def weight(self, key):
         return 1.0
@@ -121,9 +127,9 @@ class _Expansion:
             space = cls._space_from(data)
             coeffs = {}
             for row in data["coeffs"]:
-                key = tuple(int(row[f]) for f in cls.KEYS)
+                key = tuple(_index(row[f]) for f in cls.KEYS)
                 coeffs[key if len(key) > 1 else key[0]] = complex(float(row["re"]), float(row["im"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed element record: {exc}") from exc
         return cls(space, coeffs)
 

@@ -22,7 +22,8 @@ m = 0 recovers the holomorphic modes psi_n.  The ladder actions are
 
 so L psi_{m,n} = nu m psi_{m,n}.  Derivatives are realized by Wirtinger
 finite differences (compact 9-point Laplacian and central first
-differences, each with one Richardson extrapolation step).
+differences, each with one Richardson extrapolation step) at the fixed
+step STEP = 1e-4, which balances truncation against rounding noise.
 """
 
 import math
@@ -31,21 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, hermite_poly
-from .fock import SpaceParams, _Expansion
+from .fock import SpaceParams, _Expansion, _index
 
 MAX_LEVEL = 40
-
-
-@dataclass(frozen=True)
-class WirtingerStep:
-    """Finite-difference step for the Wirtinger derivatives; h is kept in
-    [1e-7, 1e-2] to balance truncation against rounding noise."""
-
-    h: float = 1e-4
-
-    def __post_init__(self):
-        if not (1e-7 <= self.h <= 1e-2):
-            raise DomainError(f"step h must lie in [1e-7, 1e-2], got {self.h}")
+STEP = 1e-4
 
 
 def basis_psi_mn(m, n, z, params):
@@ -86,7 +76,7 @@ class LandauElement(_Expansion):
         m, n = key
         if m < 0 or m != int(m):
             raise DomainError(f"level must be a nonnegative integer, got {m}")
-        return int(m), int(n)
+        return int(m), _index(n)
 
     def _mode(self, key, z):
         return basis_psi_mn(*key, z, self.params)
@@ -139,30 +129,30 @@ def _mixed_second(f, z, h):
     return 0.25 * _richardson(lap(h), lap(0.5 * h))
 
 
-def annihilation_apply(f, z, step=WirtingerStep()):
+def annihilation_apply(f, z):
     """Finite-difference action of A = d/dzbar at a point."""
-    return _wirtinger(f, complex(z), step.h, True)
+    return _wirtinger(f, complex(z), STEP, True)
 
 
-def creation_apply(f, z, params, step=WirtingerStep()):
+def creation_apply(f, z, params):
     """Finite-difference action of A^* = -d/dz + nu*zbar at a point."""
     z = complex(z)
-    return -_wirtinger(f, z, step.h, False) + params.nu * z.conjugate() * complex(f(z))
+    return -_wirtinger(f, z, STEP, False) + params.nu * z.conjugate() * complex(f(z))
 
 
-def landau_apply(f, z, params, step=WirtingerStep()):
+def landau_apply(f, z, params):
     """Finite-difference action of L = -d^2/(dz dzbar) + nu*zbar*d/dzbar."""
     z = complex(z)
-    return -_mixed_second(f, z, step.h) + params.nu * z.conjugate() * _wirtinger(f, z, step.h, True)
+    return -_mixed_second(f, z, STEP) + params.nu * z.conjugate() * _wirtinger(f, z, STEP, True)
 
 
-def eigen_residual(m, n, params, points, step=WirtingerStep()):
+def eigen_residual(m, n, params, points):
     """Scaled eigen-equation defect of psi_{m,n}: the max over the sample
     points of |L psi - nu*m*psi| / max(1, |psi|)."""
     worst = 0.0
     for z in points:
         z = complex(z)
         psi = basis_psi_mn(m, n, z, params)
-        applied = landau_apply(lambda w: basis_psi_mn(m, n, w, params), z, params, step)
+        applied = landau_apply(lambda w: basis_psi_mn(m, n, w, params), z, params)
         worst = max(worst, abs(applied - params.nu * m * psi) / max(1.0, abs(psi)))
     return worst

@@ -11,7 +11,9 @@ removed analytically, so the combined node weight carries the exponent
 u^2 - nu*|z|^2, which is linear in y and never overflows.  The shift
 recenters the rule on the Gaussian bump of the integrand; for a pair of
 Fourier modes n and m of the space with character alpha the bump sits at
-y = -pi*(alpha + (n+m)/2)/nu.
+y = -pi*(alpha + (n+m)/2)/nu.  strip_gram builds a whole Gram matrix on
+that rule: pairs with equal n + m share one node grid, on which each mode
+is evaluated once, so N consecutive indices take 2N - 1 grids, not N^2.
 
 Line inner product on [0, sqrt(2)] is a plain trapezoid rule, spectrally
 accurate for the sqrt(2)-periodic functions it is used on.
@@ -51,12 +53,12 @@ class StripScheme:
             raise DomainError(f"y_shift must be finite, got {self.y_shift}")
 
     @classmethod
-    def centered(cls, nu, alpha, n_bar, x_points=64, y_order=64):
+    def centered(cls, nu, alpha, n_bar):
         """Scheme recentered on the Gaussian bump of mode index n_bar
         (use the midpoint (n+m)/2 for a pair of modes n, m)."""
         if nu <= 0.0:
             raise DomainError(f"nu must be positive, got {nu}")
-        return cls(x_points=x_points, y_order=y_order, y_shift=-math.pi * (alpha + n_bar) / nu)
+        return cls(y_shift=-math.pi * (alpha + n_bar) / nu)
 
     def doubled(self):
         return StripScheme(2 * self.x_points, 2 * self.y_order, self.y_shift)
@@ -103,12 +105,8 @@ def _evaluate_on(f, nodes, label):
     return vals
 
 
-def strip_inner_product(f, g, nu, scheme=StripScheme()):
-    """Gaussian-weighted inner product <f, g> on the strip [0,1] x R.
-
-    f and g are callables of a complex argument (vectorized callables are
-    evaluated on the full node grid at once).  Conjugate-linear in g.
-    """
+def _strip_rule(nu, scheme):
+    """Node grid, node weights and trapezoid x-weight column of the strip rule."""
     if nu <= 0.0:
         raise DomainError(f"nu must be positive, got {nu}")
     xs = np.linspace(0.0, 1.0, scheme.x_points)
@@ -116,14 +114,40 @@ def strip_inner_product(f, g, nu, scheme=StripScheme()):
     u, wu = _hermgauss(scheme.y_order)
     ys = u / math.sqrt(nu) + scheme.y_shift
     grid = xs[:, None] + 1j * ys[None, :]
-    fv = _evaluate_on(f, grid, "f")
-    gv = _evaluate_on(g, grid, "g")
     # exp(-u^2) of the Gauss-Hermite weight cancels analytically against the
     # substitution; u^2 - nu*(x^2 + y^2) is linear in y so it never overflows.
     logw = u[None, :] ** 2 - nu * (xs[:, None] ** 2 + ys[None, :] ** 2)
     weights = np.exp(logw) * wu[None, :] / math.sqrt(nu)
-    cell = fv * np.conj(gv) * weights
-    return complex(np.sum(cell * wx[:, None]))
+    return grid, weights, wx[:, None]
+
+
+def strip_inner_product(f, g, nu, scheme=StripScheme()):
+    """Gaussian-weighted inner product <f, g> on the strip [0,1] x R.
+
+    f and g are callables of a complex argument (vectorized callables are
+    evaluated on the full node grid at once).  Conjugate-linear in g.
+    """
+    grid, weights, wx = _strip_rule(nu, scheme)
+    fv = _evaluate_on(f, grid, "f")
+    gv = _evaluate_on(g, grid, "g")
+    return complex(np.sum(fv * np.conj(gv) * weights * wx))
+
+
+def strip_gram(modes, nu, alpha):
+    """Gram matrix G[i, j] = <f_i, f_j> of modes given as (n, f) pairs, n the
+    Fourier index that places the Gaussian bump of f.  Each entry equals, to
+    the last bit, strip_inner_product(f_i, f_j, nu, scheme) with the scheme
+    StripScheme.centered(nu, alpha, (n_i + n_j)/2) of the pair."""
+    ns = [n for n, _ in modes]
+    gram = np.zeros((len(modes), len(modes)), dtype=complex)
+    for total in sorted({a + b for a in ns for b in ns}):
+        grid, weights, wx = _strip_rule(nu, StripScheme.centered(nu, alpha, total / 2.0))
+        vals = {i: _evaluate_on(f, grid, f"mode {i}") for i, (n, f) in enumerate(modes) if total - n in ns}
+        for i in vals:
+            for j in vals:
+                if ns[i] + ns[j] == total:
+                    gram[i, j] = np.sum(vals[i] * np.conj(vals[j]) * weights * wx)
+    return gram
 
 
 def line_inner_product(phi1, phi2, scheme=LineScheme()):

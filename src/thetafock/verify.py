@@ -49,7 +49,7 @@ from .landau import (
     creation_apply,
     eigen_residual,
 )
-from .quadrature import LineScheme, StripScheme, line_inner_product, strip_inner_product
+from .quadrature import LineScheme, StripScheme, line_inner_product, strip_gram, strip_inner_product
 from .theta import ThetaArgs, riemann_theta
 
 SEED = 20240815
@@ -105,27 +105,17 @@ class VerifyReport:
         }
 
 
-def _pair_scheme(params, n, m):
-    return StripScheme.centered(params.nu, params.alpha, (n + m) / 2.0)
-
-
-def _psi_inner(params, n, m):
-    return strip_inner_product(
-        lambda z: basis_psi(n, z, params),
-        lambda z: basis_psi(m, z, params),
-        params.nu,
-        _pair_scheme(params, n, m),
-    )
+def _gram_deviation(modes, params):
+    """max over i <= j of |<f_i, f_j> - delta_ij| for strip_gram's (n, f) modes."""
+    rows = strip_gram(modes, params.nu, params.alpha).tolist()
+    return max(abs(rows[i][j] - float(i == j)) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
 def criterion_orthonormal_basis():
     """Quadrature Gram matrix of psi_n equals the identity."""
-    worst = 0.0
-    for params in SETTINGS:
-        for n in range(-4, 5):
-            for m in range(n, 5):
-                dev = abs(_psi_inner(params, n, m) - (1.0 if n == m else 0.0))
-                worst = max(worst, dev)
+    worst = max(
+        _gram_deviation([(n, lambda z, n=n, p=p: basis_psi(n, z, p)) for n in range(-4, 5)], p) for p in SETTINGS
+    )
     return [VerifyCase("01-orthonormal-basis", 0.0, worst, 1e-8)]
 
 
@@ -138,7 +128,7 @@ def criterion_mode_norm():
             lambda z: basis_e(n, z, params),
             lambda z: basis_e(n, z, params),
             params.nu,
-            _pair_scheme(params, n, n),
+            StripScheme.centered(params.nu, params.alpha, n),
         )
         closed = e_norm(n, params)
         worst = max(worst, abs(math.sqrt(ip.real) - closed) / closed)
@@ -330,19 +320,8 @@ def criterion_ladder():
 def criterion_eigenmode_gram():
     """Quadrature Gram matrix of psi_{m,n} equals the identity."""
     params = BASE_PARAMS
-    modes = [(m, n) for m in range(0, 4) for n in range(-2, 3)]
-    worst = 0.0
-    for i, (m1, n1) in enumerate(modes):
-        for m2, n2 in modes[i:]:
-            ip = strip_inner_product(
-                lambda z: basis_psi_mn(m1, n1, z, params),
-                lambda z: basis_psi_mn(m2, n2, z, params),
-                params.nu,
-                _pair_scheme(params, n1, n2),
-            )
-            expect = 1.0 if (m1, n1) == (m2, n2) else 0.0
-            worst = max(worst, abs(ip - expect))
-    return [VerifyCase("12-eigenmode-gram", 0.0, worst, 1e-7)]
+    modes = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m in range(0, 4) for n in range(-2, 3)]
+    return [VerifyCase("12-eigenmode-gram", 0.0, _gram_deviation(modes, params), 1e-7)]
 
 
 def criterion_theta_integral_identity():

@@ -216,3 +216,11 @@ def test_malformed_json_is_usage_error(tmp_path):
     bad.write_text(json.dumps({"alpha": 0.3}))  # missing coeffs
     code, text = run_command(["bargmann", "forward", "--in", str(bad)])
     assert code == 64
+
+
+def test_bad_coefficient_or_fractional_index_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    for row in ({"n": 0, "re": "x", "im": 0}, {"n": 0.5, "re": 1, "im": 0}):
+        bad.write_text(json.dumps({"alpha": 0.3, "coeffs": [row]}))
+        code, text = run_command(["bargmann", "forward", "--in", str(bad), "--z", "0.1"])
+        assert code == 64, text

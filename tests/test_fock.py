@@ -166,6 +166,20 @@ def test_element_rejects_malformed():
         FockElement.from_dict({"nu": math.pi, "coeffs": []})
     with pytest.raises(DomainError):
         FockElement.from_dict({"nu": math.pi, "alpha": 0.3, "coeffs": [{"n": 0}]})
+    with pytest.raises(DomainError):
+        FockElement.from_dict({"nu": math.pi, "alpha": 0.3, "coeffs": [{"n": 0, "re": "x", "im": 0}]})
+
+
+def test_element_keys_must_be_integral():
+    with pytest.raises(DomainError):
+        FockElement(PARAMS, {0.5: 1.0})
+    with pytest.raises(DomainError):
+        LandauElement(PARAMS, {(0, 1.5): 1.0})
+    with pytest.raises(DomainError):
+        LineElement.from_dict({"alpha": 0.3, "coeffs": [{"n": 0.5, "re": 1, "im": 0}]})
+    assert FockElement(PARAMS, {2.0: 1.0}).coeff_dict() == {2: 1.0}
+    assert LandauElement(PARAMS, {(1.0, -2.0): 1.0}).coeff_dict() == {(1, -2): 1.0}
+    assert LineElement.from_dict({"alpha": 0.3, "coeffs": [{"n": 2.0, "re": 1, "im": 0}]}).coeff_dict() == {2: 1.0}
 
 
 def test_norm_homogeneity_and_parseval():

@@ -10,25 +10,16 @@ from thetafock.core import DomainError
 from thetafock.fock import SpaceParams, basis_psi
 from thetafock.landau import (
     LandauElement,
-    WirtingerStep,
     annihilation_apply,
     basis_psi_mn,
     creation_apply,
     eigen_residual,
     landau_apply,
 )
-from thetafock.quadrature import StripScheme, strip_inner_product
+from thetafock.quadrature import strip_gram
 
 PARAMS = SpaceParams(math.pi, 0.3)
 POINTS = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j)
-
-
-def test_step_validation():
-    with pytest.raises(DomainError):
-        WirtingerStep(1e-8)
-    with pytest.raises(DomainError):
-        WirtingerStep(0.1)
-    WirtingerStep(1e-4)
 
 
 def test_level_zero_reduces_to_psi():
@@ -140,14 +131,6 @@ def test_element_validation_and_json():
 
 def test_eigenmode_gram_subset():
     modes = [(0, 0), (1, 0), (2, 1), (1, -1)]
-    for i, (m1, n1) in enumerate(modes):
-        for m2, n2 in modes[i:]:
-            scheme = StripScheme.centered(PARAMS.nu, PARAMS.alpha, (n1 + n2) / 2.0)
-            ip = strip_inner_product(
-                lambda z: basis_psi_mn(m1, n1, z, PARAMS),
-                lambda z: basis_psi_mn(m2, n2, z, PARAMS),
-                PARAMS.nu,
-                scheme,
-            )
-            expect = 1.0 if (m1, n1) == (m2, n2) else 0.0
-            assert abs(ip - expect) <= 1e-7
+    fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, PARAMS)) for m, n in modes]
+    gram = strip_gram(fs, PARAMS.nu, PARAMS.alpha)
+    assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-7

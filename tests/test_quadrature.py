@@ -12,9 +12,11 @@ from thetafock.quadrature import (
     LineScheme,
     StripScheme,
     line_inner_product,
+    strip_gram,
     strip_inner_product,
 )
 from thetafock.bargmann import phi_basis
+from thetafock.landau import basis_psi_mn
 
 PARAMS = SpaceParams(math.pi, 0.3)
 
@@ -123,6 +125,32 @@ def test_nonfinite_node_reported():
 def test_strip_rejects_bad_nu():
     with pytest.raises(DomainError):
         strip_inner_product(_psi(0), _psi(0), 0.0, StripScheme())
+
+
+def test_strip_gram_matches_pairwise_inner_products():
+    # repeated Fourier indices and levels m > 0; each mode is evaluated once
+    # on each grid it takes part in, one grid per distinct n_i + n_j
+    modes = [(0, 0), (1, 0), (0, 2), (2, 2), (1, -1), (3, 1)]
+    calls = [0] * len(modes)
+
+    def mode(k, m, n):
+        def f(z):
+            calls[k] += 1
+            return basis_psi_mn(m, n, z, PARAMS)
+
+        return n, f
+
+    fs = [mode(k, m, n) for k, (m, n) in enumerate(modes)]
+    gram = strip_gram(fs, PARAMS.nu, PARAMS.alpha)
+    assert calls == [len({n for n, _ in fs})] * len(modes)
+    for i, (n_i, f_i) in enumerate(fs):
+        for j, (n_j, f_j) in enumerate(fs):
+            ip = strip_inner_product(f_i, f_j, PARAMS.nu, pair_scheme(PARAMS, n_i, n_j))
+            assert abs(gram[i, j] - ip) <= 1e-15
+
+
+def test_strip_gram_of_no_modes_is_empty():
+    assert strip_gram([], PARAMS.nu, PARAMS.alpha).shape == (0, 0)
 
 
 def test_line_orthonormality():
