@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _finite, bilateral_sum
 from .fock import FockElement, SpaceParams, _Expansion, basis_psi
-from .quadrature import SQRT2, StripScheme, _evaluate_on, _trapezoid_weights, strip_inner_product
+from .quadrature import SQRT2, StripScheme, _evaluate_on, _strip_rule, _trapezoid_weights
 from .theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 
@@ -74,8 +74,7 @@ def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):
     xi = qq / SQRT2 - zz
     tau = 1j * params.nu / math.pi
     pref = (params.nu / math.pi) ** 0.75 * np.exp(0.5 * params.nu * zz * zz - params.nu * xi * xi)
-    vals = pref * jacobi_theta3(params.alpha + tau * xi, tau, budget)
-    return complex(vals) if np.ndim(vals) == 0 else vals
+    return _finite(pref * jacobi_theta3(params.alpha + tau * xi, tau, budget), "Bargmann kernel A")
 
 
 def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
@@ -86,7 +85,7 @@ def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
     vals = (params.nu / math.pi) ** 0.25 * np.exp(0.5 * params.nu * zz * zz) * riemann_theta(
         targs, zz - qq / SQRT2, budget
     )
-    return complex(vals) if np.ndim(vals) == 0 else vals
+    return _finite(vals, "generating kernel G")
 
 
 def generating_kernel_sum(z, q, params, budget=DEFAULT_BUDGET):
@@ -141,18 +140,15 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
 def bargmann_inverse(elem, q, budget=DEFAULT_BUDGET):
     """Inverse transform of a finite member: (B^-1 f)(q) = <f, G(., q)>.
 
-    The strip scheme is recentered on the element's dominant mode so the
-    Gaussian bumps of the pairing sit under the rule.
+    One strip rule, recentered on the element's dominant mode so the
+    Gaussian bumps of the pairing sit under it, serves every q: the element
+    is evaluated once on its nodes and G once on the nodes of each q, with
+    q as the leading axis.
     """
     params = elem.params
-    scheme = StripScheme.centered(params.nu, params.alpha, elem.dominant_index())
+    grid, weights, wx = _strip_rule(params.nu, StripScheme.centered(params.nu, params.alpha, elem.dominant_index()))
     qq = np.asarray(q, dtype=float)
-
-    def value(qval):
-        return strip_inner_product(
-            elem.evaluate, lambda w: generating_kernel_G(w, qval, params, budget), params.nu, scheme
-        )
-
-    if qq.ndim == 0:
-        return value(float(qq))
-    return np.array([value(float(qv)) for qv in qq.ravel()]).reshape(qq.shape)
+    fv = _evaluate_on(elem.evaluate, grid, "f")
+    gv = generating_kernel_G(grid, qq[..., None, None], params, budget)
+    vals = np.sum(fv * np.conj(gv) * weights * wx, axis=(-2, -1))
+    return complex(vals) if qq.ndim == 0 else vals

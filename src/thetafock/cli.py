@@ -12,6 +12,7 @@ error.
 """
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -54,12 +55,26 @@ def _join_complex_values(argv):
 
 
 def parse_complex(text):
-    """Parse a command-line complex literal of the form a+bi."""
+    """Parse a command-line complex literal of the form a+bi; nan parts are rejected."""
     s = str(text).strip().replace(" ", "").replace("I", "i")
     try:
-        return complex(s.replace("i", "j"))
+        value = complex(s.replace("i", "j"))
     except ValueError:
         raise UsageError(f"cannot parse complex literal {text!r}; expected the form a+bi") from None
+    if cmath.isnan(value):
+        raise UsageError(f"complex literal {text!r} has a nan part")
+    return value
+
+
+def _finite_float(text):
+    """argparse type of a real option that must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _cnum(value):
@@ -263,7 +278,7 @@ def build_parser():
     group.add_argument("--out", default=None)
     sub = leaf(bargmann_group, "inverse", _cmd_bargmann_inverse)
     sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--q", type=float, required=True)
+    sub.add_argument("--q", type=_finite_float, required=True)
 
     landau_group = top.add_parser("landau").add_subparsers(dest="command", required=True)
     sub = leaf(landau_group, "apply", _cmd_landau_apply)

@@ -45,6 +45,15 @@ class TruncationBudget:
 DEFAULT_BUDGET = TruncationBudget()
 
 
+def _finite(vals, what):
+    """vals as a complex scalar (0-d) or complex ndarray; raises OverflowError
+    naming `what` if any entry left the double range (inf or nan)."""
+    vals = np.asarray(vals, dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError(f"{what} overflowed the double range")
+    return complex(vals) if vals.ndim == 0 else vals
+
+
 def hermite_poly(m, x):
     """Physicists' Hermite polynomial H_m(x) by upward recurrence.
 

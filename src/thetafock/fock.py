@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, DomainError, bilateral_sum, character
+from .core import DEFAULT_BUDGET, DomainError, _finite, bilateral_sum, character
 from .theta import ThetaArgs, riemann_theta
 
 
@@ -144,10 +144,7 @@ class _Expansion:
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
     zz = np.asarray(z, dtype=complex)
-    vals = np.exp(0.5 * params.nu * zz * zz + 2j * math.pi * (params.alpha + n) * zz)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError(f"e_{n} overflowed the double range")
-    return complex(vals) if zz.ndim == 0 else vals
+    return _finite(np.exp(0.5 * params.nu * zz * zz + 2j * math.pi * (params.alpha + n) * zz), f"e_{n}")
 
 
 def e_norm(n, params):
@@ -161,10 +158,7 @@ def basis_psi(n, z, params):
     zz = np.asarray(z, dtype=complex)
     c = params.alpha + n
     expo = 0.5 * params.nu * zz * zz + 2j * math.pi * c * zz - (math.pi**2 / params.nu) * c * c
-    vals = (2.0 * params.nu / math.pi) ** 0.25 * np.exp(expo)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError(f"psi_{n} overflowed the double range")
-    return complex(vals) if zz.ndim == 0 else vals
+    return _finite((2.0 * params.nu / math.pi) ** 0.25 * np.exp(expo), f"psi_{n}")
 
 
 @dataclass(frozen=True, init=False)
@@ -198,14 +192,6 @@ class FockElement(_Expansion):
         if not self.coeffs:
             return 0
         return max(self.psi_coeffs().items(), key=lambda kv: (abs(kv[1]), -abs(kv[0])))[0]
-
-    def scaled(self, c):
-        return FockElement(self.params, {n: c * a for n, a in self.coeffs})
-
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
 
 def quasiperiod_factor(z, m, params):
@@ -246,7 +232,6 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
     nu, alpha = params.nu, params.alpha
     zz = np.asarray(z, dtype=complex)
     ww = np.asarray(w, dtype=complex)
-    scalar = zz.ndim == 0 and ww.ndim == 0
     if path == "theta":
         targs = ThetaArgs(alpha, 0.0, 2j * math.pi / nu)
         vals = (
@@ -263,10 +248,7 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
         vals = bilateral_sum(term, round(center), budget)
     else:
         raise DomainError(f"unknown kernel path {path!r}; expected 'theta' or 'sum'")
-    vals = np.asarray(vals, dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError("reproducing kernel overflowed the double range")
-    return complex(vals) if scalar else vals
+    return _finite(vals, "reproducing kernel")
 
 
 def pointwise_bound(z, params, budget=DEFAULT_BUDGET):
@@ -293,8 +275,7 @@ def theta_member(targs, params, budget=DEFAULT_BUDGET):
 
     def f(w):
         ww = np.asarray(w, dtype=complex)
-        vals = np.exp(0.5 * params.nu * ww * ww) * riemann_theta(targs, ww, budget)
-        return complex(vals) if ww.ndim == 0 else vals
+        return _finite(np.exp(0.5 * params.nu * ww * ww) * riemann_theta(targs, ww, budget), "theta member")
 
     return f
 

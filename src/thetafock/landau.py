@@ -20,10 +20,19 @@ m = 0 recovers the holomorphic modes psi_n.  The ladder actions are
     A   psi_{m,n} =  i sqrt(nu m)      psi_{m-1,n},
     A^* psi_{m,n} = -i sqrt(nu (m+1))  psi_{m+1,n},
 
-so L psi_{m,n} = nu m psi_{m,n}.  Derivatives are realized by Wirtinger
-finite differences (compact 9-point Laplacian and central first
-differences, each with one Richardson extrapolation step) at the fixed
-step STEP = 1e-4, which balances truncation against rounding noise.
+so L psi_{m,n} = nu m psi_{m,n}.
+
+A, A^* and L act on sampled values by finite differences, so they stay
+independent of the coefficient ladder they check.  A difference formula is
+a table of offsets and weights (Fornberg, Math. Comp. 51, 1988); here the
+three Wirtinger derivatives d/dz, d/dzbar and d^2/(dz dzbar) = Laplacian/4
+share one 17-point offset table OFFSETS, the centre plus the edges and
+corners of the squares of half-width 1 and 1/2.  Their unit-step weights
+D_Z, D_ZBAR and D_ZZBAR are the central first differences and the compact
+9-point Laplacian, each with one Richardson step folded in.  Each operator
+is one weighted sum over f(z + STEP*OFFSETS), with f called once on every
+offset of every point, for scalar or ndarray z.  The step STEP = 1e-4
+balances truncation against rounding noise.
 """
 
 import math
@@ -31,11 +40,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, hermite_poly
+from .core import DomainError, _finite, hermite_poly
 from .fock import SpaceParams, _Expansion, _index
+from .quadrature import _evaluate_on
 
 MAX_LEVEL = 40
 STEP = 1e-4
+
+# Offsets in units of STEP, by ring: the centre (ring 0), then the edges and
+# corners of the squares of half-width 1 (rings 1, 2) and 1/2 (rings 3, 4).
+_EDGES = np.array([1, -1, 1j, -1j])
+_CORNERS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+OFFSETS = np.concatenate([[0], _EDGES, _CORNERS, _EDGES / 2, _CORNERS / 2])
+_RING = np.repeat(np.arange(5), [1, 4, 4, 4, 4])
+# Unit-step weights on OFFSETS; at step h the first derivatives scale by 1/h
+# and the mixed one by 1/h^2.  Each folds in one Richardson step,
+# (4 D(h/2) - D(h)) / 3, which cancels the O(h^2) term of the central rules.
+CENTRE = (_RING == 0).astype(float)
+D_ZBAR = OFFSETS * np.array([0, -1 / 12, 0, 4 / 3, 0])[_RING]
+D_Z = np.conj(D_ZBAR)
+D_ZZBAR = np.array([-25 / 6, -1 / 18, -1 / 72, 8 / 9, 2 / 9])[_RING]
 
 
 def basis_psi_mn(m, n, z, params):
@@ -56,10 +80,7 @@ def basis_psi_mn(m, n, z, params):
     log_norm = -0.5 * (m * math.log(2.0) + math.lgamma(m + 1)) + 0.25 * math.log(2.0 * nu / math.pi)
     expo = log_norm - (math.pi**2 / nu) * c * c + 0.5 * nu * zz * zz + 2j * math.pi * c * zz
     xi = math.sqrt(2.0 * nu) * zz.imag + math.sqrt(2.0 / nu) * math.pi * c
-    vals = np.exp(expo) * hermite_poly(m, xi)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowError(f"psi_{{{m},{n}}} overflowed the double range")
-    return complex(vals) if zz.ndim == 0 else vals
+    return _finite(np.exp(expo) * hermite_poly(m, xi), f"psi_{{{m},{n}}}")
 
 
 @dataclass(frozen=True, init=False)
@@ -95,64 +116,34 @@ class LandauElement(_Expansion):
         return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == int(m)})
 
 
-def _first_wirtinger(f, z, h, conjugate):
-    """Central-difference d/dz (conjugate=False) or d/dzbar (conjugate=True)."""
-    dx = (complex(f(z + h)) - complex(f(z - h))) / (2.0 * h)
-    dy = (complex(f(z + 1j * h)) - complex(f(z - 1j * h))) / (2.0 * h)
-    return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
-
-
-def _richardson(val_h, val_h2):
-    return (4.0 * val_h2 - val_h) / 3.0
-
-
-def _wirtinger(f, z, h, conjugate):
-    """First Wirtinger derivative at steps h and h/2 with one Richardson step."""
-    return _richardson(_first_wirtinger(f, z, h, conjugate), _first_wirtinger(f, z, 0.5 * h, conjugate))
-
-
-def _mixed_second(f, z, h):
-    """d^2/(dz dzbar) = Laplacian/4 by the compact 9-point stencil with one
-    Richardson step."""
-    f0 = complex(f(z))
-
-    def lap(hh):
-        edges = complex(f(z + hh)) + complex(f(z - hh)) + complex(f(z + 1j * hh)) + complex(f(z - 1j * hh))
-        corners = (
-            complex(f(z + hh + 1j * hh))
-            + complex(f(z + hh - 1j * hh))
-            + complex(f(z - hh + 1j * hh))
-            + complex(f(z - hh - 1j * hh))
-        )
-        return (4.0 * edges + corners - 20.0 * f0) / (6.0 * hh * hh)
-
-    return 0.25 * _richardson(lap(h), lap(0.5 * h))
+def _apply(f, z, weights):
+    """Stencil sum over OFFSETS of weights(zbar) * f(z + STEP*offset), with f
+    called once on the offsets of every point (scalar or ndarray z)."""
+    zz = np.asarray(z, dtype=complex)
+    vals = _evaluate_on(f, zz[..., None] + STEP * OFFSETS, "f")
+    out = np.sum(vals * weights(np.conj(zz)[..., None]), axis=-1)
+    return complex(out) if zz.ndim == 0 else out
 
 
 def annihilation_apply(f, z):
-    """Finite-difference action of A = d/dzbar at a point."""
-    return _wirtinger(f, complex(z), STEP, True)
+    """Finite-difference action of A = d/dzbar."""
+    return _apply(f, z, lambda zbar: D_ZBAR / STEP)
 
 
 def creation_apply(f, z, params):
-    """Finite-difference action of A^* = -d/dz + nu*zbar at a point."""
-    z = complex(z)
-    return -_wirtinger(f, z, STEP, False) + params.nu * z.conjugate() * complex(f(z))
+    """Finite-difference action of A^* = -d/dz + nu*zbar."""
+    return _apply(f, z, lambda zbar: params.nu * zbar * CENTRE - D_Z / STEP)
 
 
 def landau_apply(f, z, params):
     """Finite-difference action of L = -d^2/(dz dzbar) + nu*zbar*d/dzbar."""
-    z = complex(z)
-    return -_mixed_second(f, z, STEP) + params.nu * z.conjugate() * _wirtinger(f, z, STEP, True)
+    return _apply(f, z, lambda zbar: params.nu * zbar * D_ZBAR / STEP - D_ZZBAR / STEP**2)
 
 
 def eigen_residual(m, n, params, points):
     """Scaled eigen-equation defect of psi_{m,n}: the max over the sample
     points of |L psi - nu*m*psi| / max(1, |psi|)."""
-    worst = 0.0
-    for z in points:
-        z = complex(z)
-        psi = basis_psi_mn(m, n, z, params)
-        applied = landau_apply(lambda w: basis_psi_mn(m, n, w, params), z, params)
-        worst = max(worst, abs(applied - params.nu * m * psi) / max(1.0, abs(psi)))
-    return worst
+    zs = np.asarray(points, dtype=complex)
+    psi = basis_psi_mn(m, n, zs, params)
+    applied = landau_apply(lambda w: basis_psi_mn(m, n, w, params), zs, params)
+    return float(np.max(np.abs(applied - params.nu * m * psi) / np.maximum(1.0, np.abs(psi)), initial=0.0))

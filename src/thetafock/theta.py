@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, DomainError, bilateral_sum
+from .core import DEFAULT_BUDGET, DomainError, _finite, bilateral_sum
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class ThetaArgs:
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):
     """theta_{alpha,beta}(z | tau) for scalar or ndarray z."""
     zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
     tau = complex(args.tau)
     center = -args.alpha - float(np.mean(zz.imag)) / tau.imag
 
@@ -59,10 +58,7 @@ def riemann_theta(args, z, budget=DEFAULT_BUDGET):
         c = n + args.alpha
         return np.exp(1j * math.pi * c * c * tau + 2j * math.pi * c * (zz + args.beta))
 
-    total = bilateral_sum(term, round(center), budget)
-    if not np.all(np.isfinite(total)):
-        raise OverflowError("theta series overflowed the double range")
-    return complex(total) if scalar else total
+    return _finite(bilateral_sum(term, round(center), budget), "theta series")
 
 
 def jacobi_theta3(z, tau, budget=DEFAULT_BUDGET):

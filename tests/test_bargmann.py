@@ -81,6 +81,15 @@ def test_kernel_equals_generating_series():
                 assert abs(s - g) <= 1e-9 * abs(g)
 
 
+def test_kernels_raise_on_overflow():
+    # the Gaussian factor leaves the double range; the theta factor stays finite or underflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError):
+            bargmann_kernel_A(25j, 0.4, PARAMS)
+        with pytest.raises(OverflowError):
+            generating_kernel_G(25, 0.4, PARAMS)
+
+
 def test_kernel_identity_is_theta_inversion():
     # A == G rearranges to the theta3 inversion law; check both at once
     z, tau = 0.2 - 0.35j, 0.8j
@@ -102,6 +111,7 @@ def test_inverse_of_single_mode_is_phi():
     values = bargmann_inverse(fock_elem, qs)
     refs = phi_basis(1, qs, PARAMS.alpha)
     assert np.allclose(values, refs, rtol=0, atol=1e-10)
+    assert values.tolist() == pytest.approx([bargmann_inverse(fock_elem, q) for q in qs], rel=1e-14)
 
 
 def test_round_trip_composition():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thetafock
 from thetafock.cli import parse_complex, run_command
 from thetafock.fock import FockElement, SpaceParams, basis_psi, reproducing_kernel
 from thetafock.landau import LandauElement, basis_psi_mn
@@ -206,6 +210,35 @@ def test_exit_codes():
     assert code == 64
     code, _ = run_command(["bargmann", "inverse", "--in", "/does/not/exist.json", "--q", "0.1"])
     assert code == 64
+
+
+def test_non_finite_numbers_are_usage_errors(tmp_path):
+    elem = tmp_path / "fock.json"
+    elem.write_text(FockElement.from_psi_coeffs(SpaceParams(math.pi, 0.3), {0: 1.0}).to_json())
+    for q in ("nan", "inf", "abc"):
+        code, text = run_command(["bargmann", "inverse", "--in", str(elem), "--q", q])
+        assert code == 64, text
+    theta = ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i"]
+    for z in ("nan", "1+nani", "nan-2i"):
+        code, text = run_command(theta + ["--z", z])
+        assert code == 64, text
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(thetafock.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "thetafock.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    ok = run("fock", "psi", "--nu", "3.14159265", "--alpha", "0.3", "--n", "1", "--z", "0.2+0.1i")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout) == json.loads(run_ok(["fock", "psi", "--nu", "3.14159265", "--alpha", "0.3",
+                                                       "--n", "1", "--z", "0.2+0.1i"]))
+    bad = run("nonsense")
+    assert bad.returncode == 64 and bad.stdout == ""
+    assert bad.stderr.startswith("usage error:")
 
 
 def test_malformed_json_is_usage_error(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from thetafock.core import DomainError
+from thetafock.core import DomainError, EvaluationError
 from thetafock.fock import SpaceParams, basis_psi
 from thetafock.landau import (
+    STEP,
     LandauElement,
     annihilation_apply,
     basis_psi_mn,
@@ -72,6 +73,66 @@ def test_ladder_constants_finite_difference():
             up = creation_apply(lambda w: basis_psi_mn(m, n, w, PARAMS), z, PARAMS)
             ref = -1j * math.sqrt(PARAMS.nu * (m + 1)) * basis_psi_mn(m + 1, n, z, PARAMS)
             assert abs(up - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+def _operators(params):
+    return (
+        lambda f, z: annihilation_apply(f, z),
+        lambda f, z: creation_apply(f, z, params),
+        lambda f, z: landau_apply(f, z, params),
+    )
+
+
+def test_each_operator_calls_f_once():
+    psi = lambda w: basis_psi_mn(2, 1, w, PARAMS)
+    for op in _operators(PARAMS):
+        shapes = []
+        op(lambda w: shapes.append(np.shape(w)) or psi(w), POINTS[0])
+        assert len(shapes) == 1
+        shapes = []
+        op(lambda w: shapes.append(np.shape(w)) or psi(w), np.array(POINTS))
+        assert len(shapes) == 1 and shapes[0][0] == len(POINTS)
+
+
+def test_stencils_exact_on_cubic():
+    # f = z^2 zbar: d/dzbar f = z^2, d/dz f = 2 z zbar, d^2/(dz dzbar) f = 2 z
+    f = lambda w: w * w * np.conj(w)
+    nu = PARAMS.nu
+    for z in POINTS:
+        zb = z.conjugate()
+        exact = (z * z, -2.0 * z * zb + nu * zb * f(z), -2.0 * z + nu * zb * z * z)
+        for op, ref in zip(_operators(PARAMS), exact):
+            assert abs(op(f, z) - ref) <= 1e-5 * abs(ref)
+
+
+def test_scalar_only_callable_matches_vectorized():
+    psi = lambda w: basis_psi_mn(3, -1, w, PARAMS)
+    scalar_only = lambda w: complex(psi(w))  # complex() rejects arrays
+    for op in _operators(PARAMS):
+        for z in POINTS:
+            assert op(scalar_only, z) == pytest.approx(op(psi, z), rel=1e-14, abs=1e-14)
+
+
+def test_non_finite_sample_raises():
+    z = POINTS[2]
+    # nan only on the offsets one full step above z
+    f = lambda w: np.where(np.imag(w) > z.imag + 0.75 * STEP, np.nan, w)
+    for op in _operators(PARAMS):
+        with pytest.raises(EvaluationError):
+            op(f, z)
+
+
+def test_batched_points_match_per_point_calls():
+    m, n = 3, 1
+    psi = lambda w: basis_psi_mn(m, n, w, PARAMS)
+    batched = landau_apply(psi, np.array(POINTS), PARAMS)
+    assert batched.shape == (len(POINTS),)
+    for z, value in zip(POINTS, batched):
+        assert value == pytest.approx(landau_apply(psi, z, PARAMS), rel=1e-14, abs=1e-14)
+    per_point = max(
+        abs(landau_apply(psi, z, PARAMS) - PARAMS.nu * m * psi(z)) / max(1.0, abs(psi(z))) for z in POINTS
+    )
+    assert eigen_residual(m, n, PARAMS, POINTS) == pytest.approx(per_point, rel=1e-12)
 
 
 def test_operator_factorizes_through_ladder():
