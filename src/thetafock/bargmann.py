@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _finite, bilateral_sum
+from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
 from .fock import FockElement, SpaceParams, _Expansion, basis_psi
 from .quadrature import SQRT2, StripScheme, _evaluate_on, _strip_rule, _trapezoid_weights
-from .theta import ThetaArgs, jacobi_theta3, riemann_theta
+from .theta import _theta_value
 
 
 def phi_basis(n, q, alpha):
@@ -73,19 +73,18 @@ def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):
     qq = np.asarray(q, dtype=complex)
     xi = qq / SQRT2 - zz
     tau = 1j * params.nu / math.pi
-    pref = (params.nu / math.pi) ** 0.75 * np.exp(0.5 * params.nu * zz * zz - params.nu * xi * xi)
-    return _finite(pref * jacobi_theta3(params.alpha + tau * xi, tau, budget), "Bargmann kernel A")
+    logpref = 0.75 * math.log(params.nu / math.pi) + 0.5 * params.nu * zz * zz - params.nu * xi * xi
+    # Without the inversion step, so that A == G still tests the inversion law.
+    return _theta_value("Bargmann kernel A", 0.0, 0.0, tau, params.alpha + tau * xi, budget, logpref, invert=False)
 
 
 def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
     """Bilateral generating kernel G(z; q) in theta closed form."""
     zz = np.asarray(z, dtype=complex)
     qq = np.asarray(q, dtype=complex)
-    targs = ThetaArgs(params.alpha, 0.0, 1j * math.pi / params.nu)
-    vals = (params.nu / math.pi) ** 0.25 * np.exp(0.5 * params.nu * zz * zz) * riemann_theta(
-        targs, zz - qq / SQRT2, budget
-    )
-    return _finite(vals, "generating kernel G")
+    logpref = 0.25 * math.log(params.nu / math.pi) + 0.5 * params.nu * zz * zz
+    tau = 1j * math.pi / params.nu
+    return _theta_value("generating kernel G", params.alpha, 0.0, tau, zz - qq / SQRT2, budget, logpref)
 
 
 def generating_kernel_sum(z, q, params, budget=DEFAULT_BUDGET):
@@ -112,8 +111,9 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
 
     Trapezoid rule with interval doubling until two successive refinements
     agree within budget.tol; the integrand is sqrt(2)-periodic so the rule
-    converges spectrally.  Raises TruncationError if max_intervals is
-    reached without agreement.
+    converges spectrally.  Agreement counts only where the rounding of the
+    sum, about eps * sum |node terms|, is below budget.tol as well.  Raises
+    TruncationError if max_intervals is reached without agreement.
     """
     zz = complex(z)
 
@@ -121,15 +121,15 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
         qs = np.linspace(0.0, SQRT2, n_intervals + 1)
         w = _trapezoid_weights(n_intervals + 1, SQRT2)
         phiv = _evaluate_on(phi, qs, "phi")
-        kern = bargmann_kernel_A(zz, qs, params, budget)
-        return complex(np.sum(kern * phiv * w))
+        vals = bargmann_kernel_A(zz, qs, params, budget) * phiv * w
+        return complex(np.sum(vals)), _EPS * float(np.sum(np.abs(vals)))
 
     n = int(start_intervals)
-    prev = quad(n)
+    prev, _ = quad(n)
     while n < max_intervals:
         n *= 2
-        cur = quad(n)
-        if abs(cur - prev) <= budget.tol:
+        cur, rounding = quad(n)
+        if abs(cur - prev) <= budget.tol and rounding <= budget.tol:
             return cur
         prev = cur
     raise TruncationError(

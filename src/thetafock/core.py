@@ -1,10 +1,10 @@
 """Scalar building blocks shared by every module in the package.
 
 Hermite polynomials in the physicists' convention and the unit circle
-character m -> exp(2*pi*i*alpha*m).  Also the bilateral series driver used
-by the theta sums, the reproducing kernel and the membership norms: terms
-are added symmetrically outward from a center index until the one-sided
-tails are certifiably below the requested tolerance.
+character m -> exp(2*pi*i*alpha*m).  Also the bilateral series driver of the
+mode-sum oracles (the sum paths of K and G): terms are added outward from a
+center index until the tails are certified relative to the sum, and a sum
+that cancels below its rounding raises instead of returning.
 """
 
 import cmath
@@ -29,8 +29,11 @@ class EvaluationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TruncationBudget:
-    """Stopping policy for bilateral series: absolute tail tolerance and a
-    hard cap on the number of one-sided terms."""
+    """Truncation policy of every series: tol bounds the tail left out
+    relative to sum |term|, and max_terms caps the one-sided terms.  The theta
+    window (theta._theta_exp) fixes its width from tol in closed form;
+    bilateral_sum stops on it and also raises once rounding, eps * sum |term|,
+    exceeds tol relative to the sum."""
 
     tol: float = 1e-12
     max_terms: int = 10000
@@ -43,15 +46,17 @@ class TruncationBudget:
 
 
 DEFAULT_BUDGET = TruncationBudget()
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _finite(vals, what):
     """vals as a complex scalar (0-d) or complex ndarray; raises OverflowError
     naming `what` if any entry left the double range (inf or nan)."""
-    vals = np.asarray(vals, dtype=complex)
-    if not np.all(np.isfinite(vals)):
+    vals = complex(vals) if np.ndim(vals) == 0 else np.asarray(vals, dtype=complex)
+    if not (cmath.isfinite(vals) if isinstance(vals, complex) else np.all(np.isfinite(vals))):
         raise OverflowError(f"{what} overflowed the double range")
-    return complex(vals) if vals.ndim == 0 else vals
+    return vals
 
 
 def hermite_poly(m, x):
@@ -99,12 +104,12 @@ def character(alpha, m):
 def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     """Sum term(n) over all integers n, expanding symmetrically from center.
 
-    term(n) may return a complex scalar or an ndarray (magnitudes are then
-    measured by the max over entries).  A side stops once its last two terms
-    are below 0.1 * budget.tol and the ratio of successive magnitudes is
-    below 1/2, which bounds the remaining geometric tail by budget.tol.
-    Raises TruncationError if budget.max_terms one-sided terms do not reach
-    that certificate.
+    term(n) may return a complex scalar or an ndarray (one series per entry).
+    A side stops once its last two terms are below 0.1 * budget.tol of the
+    running sum |term| of every entry and decay by more than 1/2, so the tail
+    is below budget.tol * sum |term|.  Raises TruncationError when
+    budget.max_terms one-sided terms do not get there, or when the sum cancels:
+    sum |term| / |sum term| > budget.tol / eps at some entry.
     """
     center = int(center)
     safety = 0.1 * budget.tol
@@ -115,20 +120,27 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     # numpy warnings so the raised error is the single signal.
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.array(term(center), dtype=complex)
+        # _TINY keeps both ratios defined while every term is exactly 0.
+        absum = np.abs(total) + _TINY
         for k in range(1, budget.max_terms + 1):
             for sign in (+1, -1):
                 if done[sign]:
                     continue
                 t = np.asarray(term(center + sign * k), dtype=complex)
                 total = total + t
-                mag = float(np.max(np.abs(t)))
+                mag = np.abs(t)
+                absum = absum + mag
+                mag = float(np.max(mag / absum))
                 if mag <= safety and prev[sign] <= safety and (mag < 0.5 * prev[sign] or mag == 0.0):
                     done[sign] = True
                 prev[sign] = mag
             if done[+1] and done[-1]:
+                factor = float(np.max(absum / (np.abs(total) + _TINY)))
+                if factor > budget.tol / _EPS:
+                    raise TruncationError(f"bilateral series cancels: sum |term| / |sum| = {factor:.3e} > tol/eps")
                 return total
     last = max(prev[+1], prev[-1])
     raise TruncationError(
         f"bilateral series not certified after {budget.max_terms} one-sided terms;"
-        f" last term magnitude {last:.3e} vs tol {budget.tol:.3e}"
+        f" last term {last:.3e} of sum |term| vs tol {budget.tol:.3e}"
     )

@@ -27,11 +27,14 @@ A theta series with matching character embeds into the space through
 f(z) = exp((nu/2)*z^2) * theta_{alpha,beta}(z | tau), which is a member
 exactly when Im tau > pi/nu, with
 
-    ||f||^2 = sqrt(pi/(2*nu))
-              * sum over n of exp(-2*pi*(n+alpha)^2 * (Im tau - pi/nu)).
+    ||f||^2 = sqrt(pi/(2*nu)) * sum over n of exp(-2*pi*(n+alpha)^2 * gap)
+            = sqrt(pi/(2*nu)) * theta_{alpha,0}(0 | 2*i*gap),  gap = Im tau - pi/nu.
 
-All exponentials are assembled inside a single exp call so that large
-normalization exponents cancel before they can overflow.
+The theta forms of K, of the members and of that norm pass their Gaussian
+prefactor to theta._theta_exp as a log, to cancel inside one exponent: K(z,z)
+~ e^{nu |z|^2} is finite wherever a double holds it, at any nu.  The mode sum
+of K, through core.bilateral_sum, stays the independent oracle.  Modes build
+their normalization inside a single exp call as well.
 """
 
 import json
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_BUDGET, DomainError, _finite, bilateral_sum, character
-from .theta import ThetaArgs, riemann_theta
+from .theta import _theta_value
 
 
 @dataclass(frozen=True)
@@ -233,22 +236,17 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
     zz = np.asarray(z, dtype=complex)
     ww = np.asarray(w, dtype=complex)
     if path == "theta":
-        targs = ThetaArgs(alpha, 0.0, 2j * math.pi / nu)
-        vals = (
-            math.sqrt(2.0 * nu / math.pi)
-            * np.exp(0.5 * nu * (zz * zz + np.conj(ww) ** 2))
-            * riemann_theta(targs, zz - np.conj(ww), budget)
-        )
-    elif path == "sum":
-        center = -alpha - nu * float(np.mean(zz.imag) + np.mean(ww.imag)) / (2.0 * math.pi)
-
-        def term(n):
-            return basis_psi(n, zz, params) * np.conj(basis_psi(n, ww, params))
-
-        vals = bilateral_sum(term, round(center), budget)
-    else:
+        cw = np.conj(ww)
+        logpref = 0.5 * math.log(2.0 * nu / math.pi) + 0.5 * nu * (zz * zz + cw * cw)
+        return _theta_value("reproducing kernel", alpha, 0.0, 2j * math.pi / nu, zz - cw, budget, logpref)
+    if path != "sum":
         raise DomainError(f"unknown kernel path {path!r}; expected 'theta' or 'sum'")
-    return _finite(vals, "reproducing kernel")
+    center = -alpha - nu * float(np.mean(zz.imag) + np.mean(ww.imag)) / (2.0 * math.pi)
+
+    def term(n):
+        return basis_psi(n, zz, params) * np.conj(basis_psi(n, ww, params))
+
+    return _finite(bilateral_sum(term, round(center), budget), "reproducing kernel")
 
 
 def pointwise_bound(z, params, budget=DEFAULT_BUDGET):
@@ -275,7 +273,7 @@ def theta_member(targs, params, budget=DEFAULT_BUDGET):
 
     def f(w):
         ww = np.asarray(w, dtype=complex)
-        return _finite(np.exp(0.5 * params.nu * ww * ww) * riemann_theta(targs, ww, budget), "theta member")
+        return _theta_value("theta member", targs.alpha, targs.beta, targs.tau, ww, budget, 0.5 * params.nu * ww * ww)
 
     return f
 
@@ -285,19 +283,17 @@ def theta_membership(targs, params, budget=DEFAULT_BUDGET):
     space, and return its norm when it does.
 
     Membership holds exactly when Im tau > pi/nu (strict); the norm series
-    sum exp(-2 pi (n+alpha)^2 (Im tau - pi/nu)) is summed under the budget.
+    sum exp(-2 pi (n+alpha)^2 gap), gap = Im tau - pi/nu, is the theta value
+    theta_{alpha,0}(0 | 2 i gap), which the inversion law keeps finite and
+    cheap as gap -> 0+.
     """
     _check_character(targs, params)
     gap = complex(targs.tau).imag - math.pi / params.nu
     if gap <= 0.0:
         return MembershipResult(False, None)
-
-    def term(n):
-        c = n + targs.alpha
-        return math.exp(-2.0 * math.pi * c * c * gap)
-
-    total = float(np.real(bilateral_sum(term, round(-targs.alpha), budget)))
-    return MembershipResult(True, math.sqrt(math.sqrt(math.pi / (2.0 * params.nu)) * total))
+    logpref = 0.5 * math.log(math.pi / (2.0 * params.nu))
+    total = _theta_value("membership norm", targs.alpha, 0.0, 2j * gap, 0j, budget, logpref)
+    return MembershipResult(True, math.sqrt(total.real))
 
 
 def membership_log_partial_sums(targs, params, ns=(10, 20, 40)):

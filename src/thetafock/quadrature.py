@@ -88,12 +88,14 @@ def _trapezoid_weights(n, length):
 def _evaluate_on(f, nodes, label):
     """Evaluate a callable on an ndarray of nodes, falling back to pointwise
     evaluation for scalar-only callables (TypeError or ValueError on an
-    array), and check finiteness."""
+    array, other than DomainError), and check finiteness."""
     vals = None
     try:
         cand = np.asarray(f(nodes), dtype=complex)
         if cand.shape == nodes.shape:
             vals = cand
+    except DomainError:
+        raise
     except (TypeError, ValueError):
         vals = None
     if vals is None:

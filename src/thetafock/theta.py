@@ -1,36 +1,40 @@
-"""Jacobi and Riemann theta series with certified truncation.
+"""Jacobi and Riemann theta series by modular reduction and a fixed window.
 
-The classical Jacobi theta function
+theta3(z | tau) = sum over n of exp(i*pi*n^2*tau + 2*i*pi*n*z) and, with real
+characteristics, theta_{alpha,beta}(z | tau) = sum over n of
+exp(i*pi*(n+alpha)^2*tau + 2*i*pi*(n+alpha)*(z+beta)), for Im tau > 0.  theta3
+obeys the periodicity and inversion laws (Mumford, Tata Lectures on Theta I)
 
-    theta3(z | tau) = sum over n in Z of exp(i*pi*n^2*tau + 2*i*pi*n*z),
+    theta3(z + l*tau + m | tau) = exp(-i*pi*l^2*tau - 2*i*pi*l*z) * theta3(z | tau),
+    theta3(z | tau) = sqrt(i/tau) * exp(-i*pi*z^2/tau) * theta3(z/tau | -1/tau).
 
-and the theta series with real characteristics alpha, beta,
-
-    theta_{alpha,beta}(z | tau)
-        = sum over n of exp(i*pi*(n+alpha)^2*tau + 2*i*pi*(n+alpha)*(z+beta)),
-
-both absolutely convergent for Im tau > 0.  The term of index n peaks at
-n ~ -alpha - Im(z)/Im(tau); the series driver starts there and expands
-symmetrically until the tails are certified below the budget tolerance.
-
-theta3 satisfies the periodicity law
-
-    theta3(z + l*tau + m | tau) = exp(-i*pi*l^2*tau - 2*i*pi*l*z) * theta3(z | tau)
-
-and the inversion law
-
-    theta3(z | tau) = sqrt(i/tau) * exp(-i*pi*z^2/tau) * theta3(z/tau | -1/tau)
-
-with the principal square root.
+Every theta value, and every kernel written through one (K, G, A, theta
+members, the membership norm), comes from one primitive, _theta_exp, with
+theta_{alpha,beta}(z | tau) * exp(logpref) = exp(E) * S for the caller's
+Gaussian prefactor logpref.  Into E go the characteristic factor
+exp(i*pi*alpha^2*tau + 2*i*pi*alpha*(z+beta)), the steps theta3(z | tau+1) =
+theta3(z+1/2 | tau) that bring Re tau into [-1/2, 1/2], the inversion law while
+|tau| < 1 (so Im tau >= sqrt(3)/2 at the end), and the term of each point's
+peak index n0 = round(-Im z / Im tau).  The rest has |Im z| <= Im tau / 2, a
+central term 1 and terms below exp(-pi*Im tau*|m|*(|m|-1)), so S is one
+vectorized window -N..N with N set by Im tau and budget.tol in closed form
+(Deconinck et al., Computing Riemann theta functions, Math. Comp. 73, 2004):
+the tail left out is below budget.tol * sum |term| of the window; N above
+budget.max_terms raises TruncationError.  Near a zero of theta the window
+cancels to its rounding, eps * sum |term|, which is what is certified there:
+nothing is raised.  Arrays are reduced and summed _CHUNK points at a time.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, DomainError, _finite, bilateral_sum
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _finite
+
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -44,21 +48,65 @@ class ThetaArgs:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError("theta characteristics must be finite reals")
-        if not complex(self.tau).imag > 0.0:
-            raise DomainError(f"tau must satisfy Im tau > 0, got {self.tau}")
+        if not (complex(self.tau).imag > 0.0 and cmath.isfinite(complex(self.tau))):
+            raise DomainError(f"tau must be finite with Im tau > 0, got {self.tau}")
+
+
+@lru_cache(maxsize=64)
+def _window(t, tol, max_terms):
+    """Indices -N..N of the centred theta3 window at Im tau = t: the least N
+    whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
+    n = 0
+    while 2.0 * math.exp(-math.pi * t * n * (n + 1)) > -tol * math.expm1(-2.0 * math.pi * t * (n + 1)):
+        n += 1
+        if n > max_terms:
+            raise TruncationError(f"theta window needs more than {max_terms} one-sided terms at Im tau = {t:.3e}")
+    return np.arange(-n, n + 1, dtype=float)
+
+
+def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
+    """(E, S) with theta_{alpha,beta}(z | tau) * exp(logpref) = exp(E) * S, for
+    Python complex z and logpref or ndarrays of one shape; invert=False keeps
+    tau as given (no shift of Re tau, no inversion)."""
+    tau, rint = complex(tau), round if isinstance(z, complex) else np.rint
+    E = logpref + 1j * math.pi * alpha * (alpha * tau + 2.0 * (z + beta))
+    z = z + (beta + alpha * tau)
+    while invert:
+        k = round(tau.real)
+        tau, z = tau - k, z + 0.5 * (k % 2)
+        if abs(tau) >= 1.0:
+            break
+        z = z - rint(z.real)  # theta3 is 1-periodic; a small Re z keeps z^2/tau exact
+        E = E + (0.5 * cmath.log(1j / tau) - 1j * math.pi * z * z / tau)
+        z, tau = z / tau, -1.0 / tau
+    n0 = rint(-z.imag / tau.imag)
+    E = E + 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
+    z = z + n0 * tau
+    m = _window(tau.imag, budget.tol, budget.max_terms)
+    quad, lin = 1j * math.pi * tau * m * m, 2j * math.pi * m
+    return E, np.exp(quad + lin * np.asarray(z)[..., None]).sum(axis=-1)
+
+
+def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
+    """exp(logpref) * theta_{alpha,beta}(z | tau) through _theta_exp, as a complex
+    scalar or ndarray; OverflowError naming `what` outside the double range.
+    Arrays go through in chunks of _CHUNK points, so temporaries stay small."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.ndim(z) == 0 and np.ndim(logpref) == 0:
+            E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
+            return _finite(np.exp(E) * S, what)
+        z, logpref = np.broadcast_arrays(z, logpref)
+        out = np.empty(z.shape, dtype=complex)
+        zs, ls, outs = z.reshape(-1), logpref.reshape(-1), out.reshape(-1)
+        for i in range(0, zs.size, _CHUNK):
+            E, S = _theta_exp(alpha, beta, tau, zs[i : i + _CHUNK], budget, ls[i : i + _CHUNK], invert)
+            outs[i : i + _CHUNK] = np.exp(E) * S
+        return _finite(out, what)
 
 
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):
     """theta_{alpha,beta}(z | tau) for scalar or ndarray z."""
-    zz = np.asarray(z, dtype=complex)
-    tau = complex(args.tau)
-    center = -args.alpha - float(np.mean(zz.imag)) / tau.imag
-
-    def term(n):
-        c = n + args.alpha
-        return np.exp(1j * math.pi * c * c * tau + 2j * math.pi * c * (zz + args.beta))
-
-    return _finite(bilateral_sum(term, round(center), budget), "theta series")
+    return _theta_value("theta series", args.alpha, args.beta, args.tau, np.asarray(z, dtype=complex), budget)
 
 
 def jacobi_theta3(z, tau, budget=DEFAULT_BUDGET):

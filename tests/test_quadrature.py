@@ -16,7 +16,7 @@ from thetafock.quadrature import (
     strip_inner_product,
 )
 from thetafock.bargmann import phi_basis
-from thetafock.landau import basis_psi_mn
+from thetafock.landau import basis_psi_mn, landau_apply
 
 PARAMS = SpaceParams(math.pi, 0.3)
 
@@ -113,6 +113,18 @@ def test_vectorized_error_propagates_without_pointwise_retry():
 
     with pytest.raises(OverflowError):
         strip_inner_product(overflowing, _psi(0), PARAMS.nu, StripScheme())
+    assert len(calls) == 1
+
+
+def test_domain_error_propagates_without_pointwise_retry():
+    calls = []
+
+    def level_41(w):
+        calls.append(np.shape(w))
+        return basis_psi_mn(41, 0, w, PARAMS)
+
+    with pytest.raises(DomainError):
+        landau_apply(level_41, 0.2 + 0.1j, PARAMS)
     assert len(calls) == 1
 
 

@@ -133,7 +133,14 @@ def test_domain_validation():
 
 def test_truncation_budget_exhaustion():
     with pytest.raises(TruncationError):
-        jacobi_theta3(0.0, 0.001j, TruncationBudget(tol=1e-12, max_terms=5))
+        jacobi_theta3(0.0, 1j, TruncationBudget(tol=1e-12, max_terms=1))
+
+
+def test_small_im_tau_reduced_by_inversion():
+    # 0.001i is certified after the inversion law, in a window of a few terms
+    ours = jacobi_theta3(0.0, 0.001j, TruncationBudget(tol=1e-12, max_terms=5))
+    ref = mp_theta3(0.0, 0.001j)
+    assert abs(ours - ref) <= 1e-12 * abs(ref)
 
 
 def test_window_follows_offcenter_peak():
