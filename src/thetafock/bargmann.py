@@ -27,19 +27,23 @@ law.  The inverse transform pairs a member f against G:
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
+from .core import _as_complex, _exp, _finite, _mul, _reduce, np
 from .fock import FockElement, SpaceParams, _Expansion, basis_psi
 from .quadrature import SQRT2, StripScheme, _evaluate_on, _strip_rule, _trapezoid_weights
 from .theta import _theta_value
 
+# numpy divides a complex array by a real number as the product with its
+# reciprocal; the kernels multiply by it on both routes
+_INV_SQRT2 = 1.0 / SQRT2
+_Q_BLOCK = 8
+
 
 def phi_basis(n, q, alpha):
     """Line mode phi_n(q) = 2^(-1/4) exp(sqrt(2) i pi (n+alpha) q)."""
-    qq = np.asarray(q, dtype=complex)
-    vals = 2.0 ** (-0.25) * np.exp(SQRT2 * 1j * math.pi * (n + alpha) * qq)
-    return complex(vals) if qq.ndim == 0 else vals
+    q = _as_complex(q)
+    vals = 2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (n + alpha) * q)
+    return vals if isinstance(q, complex) or q.ndim else complex(vals)
 
 
 @dataclass(frozen=True, init=False)
@@ -69,35 +73,31 @@ class LineElement(_Expansion):
 
 def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):
     """Periodized Gaussian kernel A(z; q); broadcasts over z and q."""
-    zz = np.asarray(z, dtype=complex)
-    qq = np.asarray(q, dtype=complex)
-    xi = qq / SQRT2 - zz
+    z, q = _as_complex(z), _as_complex(q)
+    xi = q * _INV_SQRT2 - z
     tau = 1j * params.nu / math.pi
-    logpref = 0.75 * math.log(params.nu / math.pi) + 0.5 * params.nu * zz * zz - params.nu * xi * xi
+    logpref = 0.75 * math.log(params.nu / math.pi) + _mul(0.5 * params.nu * z, z) - _mul(params.nu * xi, xi)
     # Without the inversion step, so that A == G still tests the inversion law.
     return _theta_value("Bargmann kernel A", 0.0, 0.0, tau, params.alpha + tau * xi, budget, logpref, invert=False)
 
 
 def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
     """Bilateral generating kernel G(z; q) in theta closed form."""
-    zz = np.asarray(z, dtype=complex)
-    qq = np.asarray(q, dtype=complex)
-    logpref = 0.25 * math.log(params.nu / math.pi) + 0.5 * params.nu * zz * zz
+    z, q = _as_complex(z), _as_complex(q)
+    logpref = 0.25 * math.log(params.nu / math.pi) + _mul(0.5 * params.nu * z, z)
     tau = 1j * math.pi / params.nu
-    return _theta_value("generating kernel G", params.alpha, 0.0, tau, zz - qq / SQRT2, budget, logpref)
+    return _theta_value("generating kernel G", params.alpha, 0.0, tau, z - q * _INV_SQRT2, budget, logpref)
 
 
 def generating_kernel_sum(z, q, params, budget=DEFAULT_BUDGET):
     """G(z; q) by direct bilateral summation of psi_n(z) conj(phi_n(q))."""
-    zz = np.asarray(z, dtype=complex)
-    qq = np.asarray(q, dtype=complex)
-    center = -params.alpha - params.nu * float(np.mean(zz.imag)) / math.pi
+    z, q = _as_complex(z), _as_complex(q)
+    center = -params.alpha - params.nu * _reduce("mean", z.imag) / math.pi
 
     def term(n):
-        return basis_psi(n, zz, params) * np.conj(phi_basis(n, qq, params.alpha))
+        return _mul(basis_psi(n, z, params), phi_basis(n, q, params.alpha).conjugate())
 
-    vals = bilateral_sum(term, round(center), budget)
-    return complex(vals) if np.ndim(vals) == 0 else vals
+    return _finite(bilateral_sum(term, round(center), budget), "generating kernel sum")
 
 
 def bargmann_transform_coeffs(elem, nu):
@@ -142,13 +142,16 @@ def bargmann_inverse(elem, q, budget=DEFAULT_BUDGET):
 
     One strip rule, recentered on the element's dominant mode so the
     Gaussian bumps of the pairing sit under it, serves every q: the element
-    is evaluated once on its nodes and G once on the nodes of each q, with
-    q as the leading axis.
+    is evaluated once on its nodes, and G on the nodes of _Q_BLOCK values of
+    q at a time, so memory stays flat in the number of q.
     """
     params = elem.params
     grid, weights, wx = _strip_rule(params.nu, StripScheme.centered(params.nu, params.alpha, elem.dominant_index()))
     qq = np.asarray(q, dtype=float)
     fv = _evaluate_on(elem.evaluate, grid, "f")
-    gv = generating_kernel_G(grid, qq[..., None, None], params, budget)
-    vals = np.sum(fv * np.conj(gv) * weights * wx, axis=(-2, -1))
-    return complex(vals) if qq.ndim == 0 else vals
+    qs = qq.reshape(-1)
+    out = np.empty(qs.shape, dtype=complex)
+    for i in range(0, qs.size, _Q_BLOCK):
+        gv = generating_kernel_G(grid, qs[i : i + _Q_BLOCK, None, None], params, budget)
+        out[i : i + _Q_BLOCK] = np.sum(fv * np.conj(gv) * weights * wx, axis=(-2, -1))
+    return complex(out[0]) if qq.ndim == 0 else out.reshape(qq.shape)

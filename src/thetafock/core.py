@@ -5,14 +5,36 @@ character m -> exp(2*pi*i*alpha*m).  Also the bilateral series driver of the
 mode-sum oracles (the sum paths of K and G): terms are added outward from a
 center index until the tails are certified relative to the sum, and a sum
 that cancels below its rounding raises instead of returning.
+
+Every module takes numpy as `np` from here, imported lazily: it executes on
+first use.  A Python number (numpy scalars too) takes the scalar route, plain
+complex/cmath/math; an ndarray the array route; one formula serves both.  Only
+exp and the reductions dispatch; _mul and _div round as Python's complex type
+on both routes (numpy may fuse a complex product's multiply-add), so a scalar
+value equals its array counterpart to the last bit.
 """
 
 import cmath
+import contextlib
+import importlib.util
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+
+def _lazy(name):
+    """Module `name`, executed on its first attribute access unless imported already."""
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
+    if module.__spec__ is spec:
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 
 class DomainError(ValueError):
@@ -46,15 +68,84 @@ class TruncationBudget:
 
 
 DEFAULT_BUDGET = TruncationBudget()
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _as_complex(z):
+    """z as a Python complex (scalar route) or a complex ndarray (array route)."""
+    return complex(z) if isinstance(z, numbers.Complex) else np.asarray(z, dtype=complex)
+
+
+def _quiet(x):
+    """numpy's overflow warnings off for an ndarray x, which is checked afterwards."""
+    return contextlib.nullcontext() if isinstance(x, numbers.Complex) else np.errstate(over="ignore", invalid="ignore")
+
+
+def _exp(x):
+    """cmath.exp of a Python complex (np.exp to the last bit; non-finite where
+    it overflows, for _finite to report), np.exp of anything else."""
+    if not isinstance(x, complex):
+        return np.exp(x)
+    try:
+        return cmath.exp(x)
+    except (OverflowError, ValueError):
+        return complex(math.inf, math.nan)
+
+
+def _mul(a, b):
+    """a * b rounded as Python's complex product, on either route."""
+    return a.real * b + a.imag * (1j * b)
+
+
+def _div(a, b):
+    """a / b for a Python complex b, rounded as Python's complex quotient
+    (Smith's algorithm), on either route."""
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        return (a.real + a.imag * ratio) / denom + 1j * ((a.imag - a.real * ratio) / denom)
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    return (a.real * ratio + a.imag) / denom + 1j * ((a.imag * ratio - a.real) / denom)
+
+
+def _sum(terms):
+    """Sum of a list of Python complex numbers in the order of numpy's add.reduce
+    over a contiguous axis: runs of 4 to 64 terms in 4 interleaved partial sums,
+    (s0 + s1) + (s2 + s3) plus the leftover terms, longer runs split in halves
+    at a multiple of 4 (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+
+    def run(lo, hi):
+        n = hi - lo
+        if n > 64:
+            mid = lo + (n - n % 8) // 2
+            return run(lo, mid) + run(mid, hi)
+        total = -0j
+        if n >= 4:
+            s0, s1, s2, s3 = terms[lo : lo + 4]
+            lo, hi4 = lo + 4, hi - n % 4
+            for i in range(lo, hi4, 4):
+                s0, s1, s2, s3 = s0 + terms[i], s1 + terms[i + 1], s2 + terms[i + 2], s3 + terms[i + 3]
+            total, lo = (s0 + s1) + (s2 + s3), hi4
+        for t in terms[lo:hi]:
+            total += t
+        return total
+
+    return 0j + run(0, len(terms))
+
+
+def _reduce(name, x):
+    """np.<name> ("max", "mean") over the entries of x as a float; a Python float is its own."""
+    return x if isinstance(x, float) else float(getattr(np, name)(x))
 
 
 def _finite(vals, what):
-    """vals as a complex scalar (0-d) or complex ndarray; raises OverflowError
-    naming `what` if any entry left the double range (inf or nan)."""
-    vals = complex(vals) if np.ndim(vals) == 0 else np.asarray(vals, dtype=complex)
-    if not (cmath.isfinite(vals) if isinstance(vals, complex) else np.all(np.isfinite(vals))):
+    """vals as a complex scalar (also for a 0-d array) or complex ndarray; raises
+    OverflowError naming `what` if any entry left the double range (inf or nan)."""
+    scalar = isinstance(vals, numbers.Complex) or np.ndim(vals) == 0
+    vals = complex(vals) if scalar else np.asarray(vals, dtype=complex)
+    if not (cmath.isfinite(vals) if scalar else np.all(np.isfinite(vals))):
         raise OverflowError(f"{what} overflowed the double range")
     return vals
 
@@ -69,10 +160,11 @@ def hermite_poly(m, x):
     if m < 0 or m != int(m):
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {m}")
     m = int(m)
-    xs = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xs)
+    scalar = isinstance(x, numbers.Real)
+    xs = float(x) if scalar else np.asarray(x, dtype=float)
+    h_prev = 1.0 if scalar else np.ones_like(xs)
     # Overflow is detected below and raised; silence the interim warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(xs):
         if m == 0:
             out = h_prev
         else:
@@ -80,9 +172,9 @@ def hermite_poly(m, x):
             for k in range(1, m):
                 h, h_prev = 2.0 * xs * h - 2.0 * k * h_prev, h
             out = h
-    if not np.all(np.isfinite(out)):
+    if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
         raise OverflowError(f"Hermite recurrence overflowed at degree {m}")
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return out if scalar or np.ndim(x) else float(out)
 
 
 def character(alpha, m):
@@ -115,27 +207,27 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     safety = 0.1 * budget.tol
     done = {+1: False, -1: False}
     prev = {+1: math.inf, -1: math.inf}
+    total = _as_complex(term(center))
     # Overflow in a term shows up as inf/nan in the running total, which
     # callers detect and convert to OverflowError; suppress the interim
     # numpy warnings so the raised error is the single signal.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.array(term(center), dtype=complex)
+    with _quiet(total):
         # _TINY keeps both ratios defined while every term is exactly 0.
-        absum = np.abs(total) + _TINY
+        absum = abs(total) + _TINY
         for k in range(1, budget.max_terms + 1):
             for sign in (+1, -1):
                 if done[sign]:
                     continue
-                t = np.asarray(term(center + sign * k), dtype=complex)
+                t = _as_complex(term(center + sign * k))
                 total = total + t
-                mag = np.abs(t)
+                mag = abs(t)
                 absum = absum + mag
-                mag = float(np.max(mag / absum))
+                mag = _reduce("max", mag / absum)
                 if mag <= safety and prev[sign] <= safety and (mag < 0.5 * prev[sign] or mag == 0.0):
                     done[sign] = True
                 prev[sign] = mag
             if done[+1] and done[-1]:
-                factor = float(np.max(absum / (np.abs(total) + _TINY)))
+                factor = _reduce("max", absum / (abs(total) + _TINY))
                 if factor > budget.tol / _EPS:
                     raise TruncationError(f"bilateral series cancels: sum |term| / |sum| = {factor:.3e} > tol/eps")
                 return total

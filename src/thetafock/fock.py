@@ -41,9 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DEFAULT_BUDGET, DomainError, _finite, bilateral_sum, character
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _reduce, bilateral_sum, character, np
 from .theta import _theta_value
 
 
@@ -98,11 +96,11 @@ class _Expansion:
         return dict(self.coeffs)
 
     def evaluate(self, z):
-        zz = np.asarray(z, dtype=complex)
-        total = np.zeros(zz.shape, dtype=complex)
+        z = _as_complex(z)
+        total = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
         for key, c in self.coeffs:
-            total = total + c * self._mode(key, zz)
-        return complex(total) if zz.ndim == 0 else total
+            total = total + _mul(c, self._mode(key, z))
+        return total if isinstance(z, complex) or z.ndim else complex(total)
 
     __call__ = evaluate
 
@@ -146,8 +144,8 @@ class _Expansion:
 
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
-    zz = np.asarray(z, dtype=complex)
-    return _finite(np.exp(0.5 * params.nu * zz * zz + 2j * math.pi * (params.alpha + n) * zz), f"e_{n}")
+    z = _as_complex(z)
+    return _finite(_exp(_mul(0.5 * params.nu * z, z) + 2j * math.pi * (params.alpha + n) * z), f"e_{n}")
 
 
 def e_norm(n, params):
@@ -158,10 +156,10 @@ def e_norm(n, params):
 
 def basis_psi(n, z, params):
     """Orthonormal mode psi_n = e_n / ||e_n||, assembled in a single exponential."""
-    zz = np.asarray(z, dtype=complex)
+    z = _as_complex(z)
     c = params.alpha + n
-    expo = 0.5 * params.nu * zz * zz + 2j * math.pi * c * zz - (math.pi**2 / params.nu) * c * c
-    return _finite((2.0 * params.nu / math.pi) ** 0.25 * np.exp(expo), f"psi_{n}")
+    expo = _mul(0.5 * params.nu * z, z) + 2j * math.pi * c * z - (math.pi**2 / params.nu) * c * c
+    return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")
 
 
 @dataclass(frozen=True, init=False)
@@ -233,18 +231,17 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
     psi_n(z) conj(psi_n(w)) directly under the truncation budget.
     """
     nu, alpha = params.nu, params.alpha
-    zz = np.asarray(z, dtype=complex)
-    ww = np.asarray(w, dtype=complex)
+    z, w = _as_complex(z), _as_complex(w)
     if path == "theta":
-        cw = np.conj(ww)
-        logpref = 0.5 * math.log(2.0 * nu / math.pi) + 0.5 * nu * (zz * zz + cw * cw)
-        return _theta_value("reproducing kernel", alpha, 0.0, 2j * math.pi / nu, zz - cw, budget, logpref)
+        cw = w.conjugate()
+        logpref = 0.5 * math.log(2.0 * nu / math.pi) + 0.5 * nu * (_mul(z, z) + _mul(cw, cw))
+        return _theta_value("reproducing kernel", alpha, 0.0, 2j * math.pi / nu, z - cw, budget, logpref)
     if path != "sum":
         raise DomainError(f"unknown kernel path {path!r}; expected 'theta' or 'sum'")
-    center = -alpha - nu * float(np.mean(zz.imag) + np.mean(ww.imag)) / (2.0 * math.pi)
+    center = -alpha - nu * (_reduce("mean", z.imag) + _reduce("mean", w.imag)) / (2.0 * math.pi)
 
     def term(n):
-        return basis_psi(n, zz, params) * np.conj(basis_psi(n, ww, params))
+        return _mul(basis_psi(n, z, params), basis_psi(n, w, params).conjugate())
 
     return _finite(bilateral_sum(term, round(center), budget), "reproducing kernel")
 
@@ -272,8 +269,8 @@ def theta_member(targs, params, budget=DEFAULT_BUDGET):
     _check_character(targs, params)
 
     def f(w):
-        ww = np.asarray(w, dtype=complex)
-        return _theta_value("theta member", targs.alpha, targs.beta, targs.tau, ww, budget, 0.5 * params.nu * ww * ww)
+        w = _as_complex(w)
+        return _theta_value("theta member", targs.alpha, targs.beta, targs.tau, w, budget, _mul(0.5 * params.nu * w, w))
 
     return f
 

@@ -29,37 +29,46 @@ three Wirtinger derivatives d/dz, d/dzbar and d^2/(dz dzbar) = Laplacian/4
 share one 17-point offset table OFFSETS, the centre plus the edges and
 corners of the squares of half-width 1 and 1/2.  Their unit-step weights
 D_Z, D_ZBAR and D_ZZBAR are the central first differences and the compact
-9-point Laplacian, each with one Richardson step folded in.  Each operator
-is one weighted sum over f(z + STEP*OFFSETS), with f called once on every
-offset of every point, for scalar or ndarray z.  The step STEP = 1e-4
-balances truncation against rounding noise.
+9-point Laplacian, each with one Richardson step folded in.  Each operator is
+one weighted sum over f(z + STEP*OFFSETS): a Python number z calls f once per
+offset, without numpy (core._sum keeps numpy's order); an ndarray z calls f
+once on every offset of every point.  The step STEP = 1e-4 balances
+truncation against rounding noise.
 """
 
+import cmath
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DomainError, _finite, hermite_poly
+from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, _sum, hermite_poly, np
 from .fock import SpaceParams, _Expansion, _index
 from .quadrature import _evaluate_on
 
 MAX_LEVEL = 40
 STEP = 1e-4
+# numpy divides a complex array by a real number as the product with its
+# reciprocal; the weights multiply by it on both routes
+_INV_STEP = 1.0 / STEP
 
 # Offsets in units of STEP, by ring: the centre (ring 0), then the edges and
 # corners of the squares of half-width 1 (rings 1, 2) and 1/2 (rings 3, 4).
-_EDGES = np.array([1, -1, 1j, -1j])
-_CORNERS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-OFFSETS = np.concatenate([[0], _EDGES, _CORNERS, _EDGES / 2, _CORNERS / 2])
-_RING = np.repeat(np.arange(5), [1, 4, 4, 4, 4])
+_EDGES = (1 + 0j, -1 + 0j, 1j, -1j)
+_CORNERS = (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
+OFFSETS = (0j, *_EDGES, *_CORNERS, *(e / 2 for e in _EDGES), *(c / 2 for c in _CORNERS))
+_RING = (0,) + (1,) * 4 + (2,) * 4 + (3,) * 4 + (4,) * 4
 # Unit-step weights on OFFSETS; at step h the first derivatives scale by 1/h
 # and the mixed one by 1/h^2.  Each folds in one Richardson step,
 # (4 D(h/2) - D(h)) / 3, which cancels the O(h^2) term of the central rules.
-CENTRE = (_RING == 0).astype(float)
-D_ZBAR = OFFSETS * np.array([0, -1 / 12, 0, 4 / 3, 0])[_RING]
-D_Z = np.conj(D_ZBAR)
-D_ZZBAR = np.array([-25 / 6, -1 / 18, -1 / 72, 8 / 9, 2 / 9])[_RING]
+CENTRE = tuple(float(r == 0) for r in _RING)
+D_ZBAR = tuple(o * (0.0, -1 / 12, 0.0, 4 / 3, 0.0)[r] for o, r in zip(OFFSETS, _RING))
+D_Z = tuple(d.conjugate() for d in D_ZBAR)
+D_ZZBAR = tuple((-25 / 6, -1 / 18, -1 / 72, 8 / 9, 2 / 9)[r] for r in _RING)
+# One row per offset; a weight function reads it as weight(zbar, row), on one
+# row of Python numbers (scalar z) or on the whole table as ndarrays.
+_Stencil = namedtuple("_Stencil", "offset centre d_z d_zbar d_zzbar")
+_ROWS = tuple(map(_Stencil, OFFSETS, CENTRE, D_Z, D_ZBAR, D_ZZBAR))
 
 
 def basis_psi_mn(m, n, z, params):
@@ -75,12 +84,12 @@ def basis_psi_mn(m, n, z, params):
         raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
     m, n = int(m), int(n)
     nu, alpha = params.nu, params.alpha
-    zz = np.asarray(z, dtype=complex)
+    z = _as_complex(z)
     c = alpha + n
     log_norm = -0.5 * (m * math.log(2.0) + math.lgamma(m + 1)) + 0.25 * math.log(2.0 * nu / math.pi)
-    expo = log_norm - (math.pi**2 / nu) * c * c + 0.5 * nu * zz * zz + 2j * math.pi * c * zz
-    xi = math.sqrt(2.0 * nu) * zz.imag + math.sqrt(2.0 / nu) * math.pi * c
-    return _finite(np.exp(expo) * hermite_poly(m, xi), f"psi_{{{m},{n}}}")
+    expo = log_norm - (math.pi**2 / nu) * c * c + _mul(0.5 * nu * z, z) + 2j * math.pi * c * z
+    xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * c
+    return _finite(_exp(expo) * hermite_poly(m, xi), f"psi_{{{m},{n}}}")
 
 
 @dataclass(frozen=True, init=False)
@@ -116,34 +125,51 @@ class LandauElement(_Expansion):
         return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == int(m)})
 
 
-def _apply(f, z, weights):
-    """Stencil sum over OFFSETS of weights(zbar) * f(z + STEP*offset), with f
-    called once on the offsets of every point (scalar or ndarray z)."""
+def _apply(f, z, weight):
+    """Stencil sum over the rows of weight(zbar, row) * f(z + STEP*row.offset).
+    A Python number z calls f once per offset, on a Python number; an ndarray
+    z calls f once on the offsets of every point."""
+    if isinstance(z, numbers.Complex):
+        z = complex(z)
+        zbar, terms = z.conjugate(), []
+        for row in _ROWS:
+            node = z + STEP * row.offset
+            value = complex(f(node))
+            if not cmath.isfinite(value):
+                raise EvaluationError(f"f returned a non-finite value at node {node}")
+            terms.append(_mul(value, weight(zbar, row)))
+        return _sum(terms)
     zz = np.asarray(z, dtype=complex)
-    vals = _evaluate_on(f, zz[..., None] + STEP * OFFSETS, "f")
-    out = np.sum(vals * weights(np.conj(zz)[..., None]), axis=-1)
+    table = _Stencil(*map(np.array, zip(*_ROWS)))
+    vals = _evaluate_on(f, zz[..., None] + STEP * table.offset, "f")
+    out = np.sum(_mul(vals, weight(zz.conjugate()[..., None], table)), axis=-1)
     return complex(out) if zz.ndim == 0 else out
 
 
 def annihilation_apply(f, z):
     """Finite-difference action of A = d/dzbar."""
-    return _apply(f, z, lambda zbar: D_ZBAR / STEP)
+    return _apply(f, z, lambda zbar, s: s.d_zbar * _INV_STEP)
 
 
 def creation_apply(f, z, params):
     """Finite-difference action of A^* = -d/dz + nu*zbar."""
-    return _apply(f, z, lambda zbar: params.nu * zbar * CENTRE - D_Z / STEP)
+    return _apply(f, z, lambda zbar, s: params.nu * zbar * s.centre - s.d_z * _INV_STEP)
 
 
 def landau_apply(f, z, params):
     """Finite-difference action of L = -d^2/(dz dzbar) + nu*zbar*d/dzbar."""
-    return _apply(f, z, lambda zbar: params.nu * zbar * D_ZBAR / STEP - D_ZZBAR / STEP**2)
+    return _apply(f, z, lambda zbar, s: params.nu * zbar * s.d_zbar * _INV_STEP - s.d_zzbar / STEP**2)
 
 
 def eigen_residual(m, n, params, points):
-    """Scaled eigen-equation defect of psi_{m,n}: the max over the sample
-    points of |L psi - nu*m*psi| / max(1, |psi|)."""
-    zs = np.asarray(points, dtype=complex)
-    psi = basis_psi_mn(m, n, zs, params)
-    applied = landau_apply(lambda w: basis_psi_mn(m, n, w, params), zs, params)
-    return float(np.max(np.abs(applied - params.nu * m * psi) / np.maximum(1.0, np.abs(psi)), initial=0.0))
+    """Scaled eigen-equation defect of psi_{m,n}: the max over a sequence of
+    sample points of |L psi - nu*m*psi| / max(1, |psi|), point by point."""
+
+    def psi(w):
+        return basis_psi_mn(m, n, w, params)
+
+    worst = 0.0
+    for z in points:
+        value = psi(z)
+        worst = max(worst, abs(landau_apply(psi, z, params) - params.nu * m * value) / max(1.0, abs(value)))
+    return worst

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .core import DomainError, EvaluationError
+from .core import DomainError, EvaluationError, np
 
 SQRT2 = math.sqrt(2.0)
 

@@ -11,9 +11,11 @@ obeys the periodicity and inversion laws (Mumford, Tata Lectures on Theta I)
 Every theta value, and every kernel written through one (K, G, A, theta
 members, the membership norm), comes from one primitive, _theta_exp, with
 theta_{alpha,beta}(z | tau) * exp(logpref) = exp(E) * S for the caller's
-Gaussian prefactor logpref.  Into E go the characteristic factor
+Gaussian prefactor logpref.  Into E go the integer part of Re tau (shifted out
+first, with its phase and beta's shift reduced mod 1 exactly, so a large Re tau
+costs no digits), the characteristic factor
 exp(i*pi*alpha^2*tau + 2*i*pi*alpha*(z+beta)), the steps theta3(z | tau+1) =
-theta3(z+1/2 | tau) that bring Re tau into [-1/2, 1/2], the inversion law while
+theta3(z+1/2 | tau) that keep Re tau in [-1/2, 1/2], the inversion law while
 |tau| < 1 (so Im tau >= sqrt(3)/2 at the end), and the term of each point's
 peak index n0 = round(-Im z / Im tau).  The rest has |Im z| <= Im tau / 2, a
 central term 1 and terms below exp(-pi*Im tau*|m|*(|m|-1)), so S is one
@@ -22,17 +24,18 @@ vectorized window -N..N with N set by Im tau and budget.tol in closed form
 the tail left out is below budget.tol * sum |term| of the window; N above
 budget.max_terms raises TruncationError.  Near a zero of theta the window
 cancels to its rounding, eps * sum |term|, which is what is certified there:
-nothing is raised.  Arrays are reduced and summed _CHUNK points at a time.
+nothing is raised.  A Python number is summed by cmath.exp and core._sum, in
+numpy's order; arrays by numpy, _CHUNK points at a time, to the same bits.
 """
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _finite
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _div, _exp, _finite, _mul, _sum, np
 
 _CHUNK = 1024
 
@@ -54,14 +57,14 @@ class ThetaArgs:
 
 @lru_cache(maxsize=64)
 def _window(t, tol, max_terms):
-    """Indices -N..N of the centred theta3 window at Im tau = t: the least N
-    whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
+    """Indices -N..N, as Python floats, of the centred theta3 window at Im tau = t:
+    the least N whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
     n = 0
     while 2.0 * math.exp(-math.pi * t * n * (n + 1)) > -tol * math.expm1(-2.0 * math.pi * t * (n + 1)):
         n += 1
         if n > max_terms:
             raise TruncationError(f"theta window needs more than {max_terms} one-sided terms at Im tau = {t:.3e}")
-    return np.arange(-n, n + 1, dtype=float)
+    return tuple(float(k) for k in range(-n, n + 1))
 
 
 def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
@@ -69,6 +72,14 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     Python complex z and logpref or ndarrays of one shape; invert=False keeps
     tau as given (no shift of Re tau, no inversion)."""
     tau, rint = complex(tau), round if isinstance(z, complex) else np.rint
+    k = round(tau.real) if invert else 0
+    if k:
+        # theta_{a,b}(z | tau + k) = exp(-i pi a (a+1) k) theta_{a, b + k (a + 1/2)}(z | tau): the
+        # shift of b and the phase are reduced mod 1 exactly, so a large Re tau costs no digits.
+        a, shift = Fraction(alpha), Fraction(beta) + k * (Fraction(alpha) + Fraction(1, 2))
+        j = math.floor(shift)
+        logpref = logpref + 2j * math.pi * float(a * (j - k * (a + 1) / 2) % 1)
+        tau, beta = tau - k, float(shift - j)
     E = logpref + 1j * math.pi * alpha * (alpha * tau + 2.0 * (z + beta))
     z = z + (beta + alpha * tau)
     while invert:
@@ -77,36 +88,39 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
         if abs(tau) >= 1.0:
             break
         z = z - rint(z.real)  # theta3 is 1-periodic; a small Re z keeps z^2/tau exact
-        E = E + (0.5 * cmath.log(1j / tau) - 1j * math.pi * z * z / tau)
-        z, tau = z / tau, -1.0 / tau
+        E = E + (0.5 * cmath.log(1j / tau) - _div(_mul(1j * math.pi * z, z), tau))
+        z, tau = _div(z, tau), -1.0 / tau
     n0 = rint(-z.imag / tau.imag)
     E = E + 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
     z = z + n0 * tau
-    m = _window(tau.imag, budget.tol, budget.max_terms)
-    quad, lin = 1j * math.pi * tau * m * m, 2j * math.pi * m
-    return E, np.exp(quad + lin * np.asarray(z)[..., None]).sum(axis=-1)
+    m, quad, lin = _window(tau.imag, budget.tol, budget.max_terms), 1j * math.pi * tau, 2j * math.pi
+    if isinstance(z, complex):
+        return E, _sum([cmath.exp(quad * k * k + lin * k * z) for k in m])
+    m = np.array(m)
+    return E, np.exp(quad * m * m + lin * m * z[..., None]).sum(axis=-1)
 
 
 def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     """exp(logpref) * theta_{alpha,beta}(z | tau) through _theta_exp, as a complex
     scalar or ndarray; OverflowError naming `what` outside the double range.
-    Arrays go through in chunks of _CHUNK points, so temporaries stay small."""
+    Python numbers take the scalar route; arrays go through in chunks of
+    _CHUNK points, so temporaries stay small."""
+    if isinstance(z, numbers.Complex) and isinstance(logpref, numbers.Complex):
+        E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
+        return _finite(_mul(_exp(E), S), what)
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(z) == 0 and np.ndim(logpref) == 0:
-            E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
-            return _finite(np.exp(E) * S, what)
         z, logpref = np.broadcast_arrays(z, logpref)
         out = np.empty(z.shape, dtype=complex)
         zs, ls, outs = z.reshape(-1), logpref.reshape(-1), out.reshape(-1)
         for i in range(0, zs.size, _CHUNK):
             E, S = _theta_exp(alpha, beta, tau, zs[i : i + _CHUNK], budget, ls[i : i + _CHUNK], invert)
-            outs[i : i + _CHUNK] = np.exp(E) * S
+            outs[i : i + _CHUNK] = _mul(np.exp(E), S)
         return _finite(out, what)
 
 
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):
     """theta_{alpha,beta}(z | tau) for scalar or ndarray z."""
-    return _theta_value("theta series", args.alpha, args.beta, args.tau, np.asarray(z, dtype=complex), budget)
+    return _theta_value("theta series", args.alpha, args.beta, args.tau, _as_complex(z), budget)
 
 
 def jacobi_theta3(z, tau, budget=DEFAULT_BUDGET):

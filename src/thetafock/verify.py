@@ -20,8 +20,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bargmann import (
     bargmann_kernel_A,
     bargmann_pointwise,
@@ -29,7 +27,7 @@ from .bargmann import (
     generating_kernel_sum,
     phi_basis,
 )
-from .core import TruncationBudget
+from .core import TruncationBudget, np
 from .fock import (
     FockElement,
     SpaceParams,

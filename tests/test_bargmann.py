@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from thetafock.bargmann import (
+    _Q_BLOCK,
     LineElement,
     bargmann_inverse,
     bargmann_kernel_A,
@@ -112,6 +114,27 @@ def test_inverse_of_single_mode_is_phi():
     refs = phi_basis(1, qs, PARAMS.alpha)
     assert np.allclose(values, refs, rtol=0, atol=1e-10)
     assert values.tolist() == pytest.approx([bargmann_inverse(fock_elem, q) for q in qs], rel=1e-14)
+
+
+def test_inverse_memory_flat_in_number_of_q():
+    fock_elem = bargmann_transform_coeffs(LineElement(PARAMS.alpha, {-1: 0.5, 0: 1.0, 1: 0.3j}), 3.0)
+    bargmann_inverse(fock_elem, 0.3)  # quadrature nodes cached outside the measurement
+    tracemalloc.start()
+    try:
+        bargmann_inverse(fock_elem, np.linspace(0.0, SQRT2, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_inverse_vector_q_equals_scalar_calls_across_blocks():
+    fock_elem = bargmann_transform_coeffs(LineElement(PARAMS.alpha, {0: 1.0, 2: 0.5 - 0.3j}), PARAMS.nu)
+    n = 2 * _Q_BLOCK + 3  # three blocks of q, the last one short, in a 2-d array
+    qs = np.linspace(0.05, 1.35, n).reshape(n, 1)
+    values = bargmann_inverse(fock_elem, qs)
+    assert values.shape == qs.shape
+    assert [v for v in values.ravel()] == [bargmann_inverse(fock_elem, float(q)) for q in qs.ravel()]
 
 
 def test_round_trip_composition():

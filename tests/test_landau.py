@@ -9,6 +9,7 @@ import scipy.special
 from thetafock.core import DomainError, EvaluationError
 from thetafock.fock import SpaceParams, basis_psi
 from thetafock.landau import (
+    OFFSETS,
     STEP,
     LandauElement,
     annihilation_apply,
@@ -83,12 +84,13 @@ def _operators(params):
     )
 
 
-def test_each_operator_calls_f_once():
+def test_each_operator_calls_f_once_per_array_or_offset():
+    # a Python number z stays on the scalar route: one call per offset, each on a Python number
     psi = lambda w: basis_psi_mn(2, 1, w, PARAMS)
     for op in _operators(PARAMS):
         shapes = []
         op(lambda w: shapes.append(np.shape(w)) or psi(w), POINTS[0])
-        assert len(shapes) == 1
+        assert shapes == [()] * len(OFFSETS)
         shapes = []
         op(lambda w: shapes.append(np.shape(w)) or psi(w), np.array(POINTS))
         assert len(shapes) == 1 and shapes[0][0] == len(POINTS)

@@ -123,6 +123,17 @@ def test_riemann_theta_reduced_tau_sweep(im_tau):
             assert rel_err(riemann_theta(ThetaArgs(alpha, beta, tau), z), ref) <= REL, (tau, alpha, beta, z)
 
 
+@pytest.mark.parametrize("re_tau", (7.3, 1000.5, 1e6 + 0.5, -1e6 - 0.5))
+def test_riemann_theta_large_re_tau(re_tau):
+    # the integer part of Re tau is shifted out before e^{i pi alpha^2 tau} and
+    # z + alpha tau are formed, with the phase and the shift of beta exact
+    cases = ((0.3, 0.1, 0.3 + 0.1j, 0.3), (-0.45, 0.37, 0.71 - 0.4j, 0.8), (0.25, -0.5, 0.9 + 0.6j, 0.15))
+    for alpha, beta, z, im_tau in cases:
+        tau = complex(re_tau, im_tau)
+        ref = mp_theta(alpha, beta, tau, z)
+        assert rel_err(riemann_theta(ThetaArgs(alpha, beta, tau), z), ref) <= 1e-12, (tau, alpha, beta, z)
+
+
 def test_theta_path_fault_inputs_pass():
     # large nu: the series cancels by e^{nu/8}, the reduced window does not
     k = reproducing_kernel(0.5, 0.0, SpaceParams(300.0, 0.3))
