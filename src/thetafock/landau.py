@@ -162,14 +162,15 @@ def landau_apply(f, z, params):
 
 
 def eigen_residual(m, n, params, points):
-    """Scaled eigen-equation defect of psi_{m,n}: the max over a sequence of
-    sample points of |L psi - nu*m*psi| / max(1, |psi|), point by point."""
+    """Scaled eigen-equation defect of psi_{m,n}: the max over the sample
+    points of |L psi - nu*m*psi| / max(1, |psi|), point by point (a tuple or
+    list of Python numbers stays on the scalar route)."""
 
     def psi(w):
         return basis_psi_mn(m, n, w, params)
 
     worst = 0.0
-    for z in points:
+    for z in points if isinstance(points, (tuple, list)) else np.ravel(points):
         value = psi(z)
         worst = max(worst, abs(landau_apply(psi, z, params) - params.nu * m * value) / max(1.0, abs(value)))
     return worst
