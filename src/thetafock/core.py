@@ -26,11 +26,12 @@ from fractions import Fraction
 
 def _lazy(name):
     """Module `name`, executed on its first attribute access unless imported already."""
+    if name in sys.modules:
+        return sys.modules[name]
     spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
-    if module.__spec__ is spec:
-        spec.loader.exec_module(module)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 
