@@ -67,6 +67,17 @@ def test_scalar_leaf_executes_no_numpy(leaf, tmp_path):
     assert result["numpy"] == []
 
 
+@pytest.mark.parametrize("first", ("numpy", "thetafock"))
+def test_lazy_numpy_is_numpy_once_loaded(first):
+    # a numpy imported before thetafock is left alone (executing it again would warn)
+    code = (f"import {first}, numpy, thetafock.core as core; numpy.ones(1); "
+            "assert core.np is numpy and core.np.ones(1).sum() == 1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sum_follows_numpy_order():
     rng = np.random.default_rng(11)
     for n in [*range(0, 140), 257, 513, 1000]:
