@@ -111,29 +111,27 @@ def _div(a, b):
     return (a.real * ratio + a.imag) / denom + 1j * ((a.imag * ratio - a.real) / denom)
 
 
-def _sum(terms):
+def _sum(terms, lo=0, hi=None):
     """Sum of a list of Python complex numbers in the order of numpy's add.reduce
     over a contiguous axis: runs of 4 to 64 terms in 4 interleaved partial sums,
     (s0 + s1) + (s2 + s3) plus the leftover terms, longer runs split in halves
     at a multiple of 4 (Higham, SIAM J. Sci. Comput. 14, 1993)."""
-
-    def run(lo, hi):
-        n = hi - lo
-        if n > 64:
-            mid = lo + (n - n % 8) // 2
-            return run(lo, mid) + run(mid, hi)
-        total = -0j
-        if n >= 4:
-            s0, s1, s2, s3 = terms[lo : lo + 4]
-            lo, hi4 = lo + 4, hi - n % 4
-            for i in range(lo, hi4, 4):
-                s0, s1, s2, s3 = s0 + terms[i], s1 + terms[i + 1], s2 + terms[i + 2], s3 + terms[i + 3]
-            total, lo = (s0 + s1) + (s2 + s3), hi4
-        for t in terms[lo:hi]:
-            total += t
-        return total
-
-    return 0j + run(0, len(terms))
+    if hi is None:
+        return 0j + _sum(terms, 0, len(terms))
+    n = hi - lo
+    if n > 64:
+        mid = lo + (n - n % 8) // 2
+        return _sum(terms, lo, mid) + _sum(terms, mid, hi)
+    total = -0j
+    if n >= 4:
+        s0, s1, s2, s3 = terms[lo : lo + 4]
+        lo, hi4 = lo + 4, hi - n % 4
+        for i in range(lo, hi4, 4):
+            s0, s1, s2, s3 = s0 + terms[i], s1 + terms[i + 1], s2 + terms[i + 2], s3 + terms[i + 3]
+        total, lo = (s0 + s1) + (s2 + s3), hi4
+    for t in terms[lo:hi]:
+        total += t
+    return total
 
 
 def _reduce(name, x):
