@@ -96,7 +96,9 @@ def _exp(x):
 
 def _mul(a, b):
     """a * b rounded as Python's complex product, on either route."""
-    return a.real * b + a.imag * (1j * b)
+    product = 1j * a.imag * b
+    product += a.real * b
+    return product
 
 
 def _div(a, b):

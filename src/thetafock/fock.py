@@ -99,7 +99,7 @@ class _Expansion:
         z = _as_complex(z)
         total = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
         for key, c in self.coeffs:
-            total = total + _mul(c, self._mode(key, z))
+            total += _mul(c, self._mode(key, z))
         return total if isinstance(z, complex) or z.ndim else complex(total)
 
     __call__ = evaluate
