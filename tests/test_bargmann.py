@@ -134,7 +134,7 @@ def test_inverse_vector_q_equals_scalar_calls_across_blocks():
     qs = np.linspace(0.05, 1.35, n).reshape(n, 1)
     values = bargmann_inverse(fock_elem, qs)
     assert values.shape == qs.shape
-    assert [v for v in values.ravel()] == [bargmann_inverse(fock_elem, float(q)) for q in qs.ravel()]
+    assert values.ravel().tolist() == [bargmann_inverse(fock_elem, float(q)) for q in qs.ravel()]
 
 
 def test_round_trip_composition():
