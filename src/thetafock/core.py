@@ -117,7 +117,8 @@ def _sum(terms, lo=0, hi=None):
     """Sum of a list of Python complex numbers in the order of numpy's add.reduce
     over a contiguous axis: runs of 4 to 64 terms in 4 interleaved partial sums,
     (s0 + s1) + (s2 + s3) plus the leftover terms, longer runs split in halves
-    at a multiple of 4 (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    at a multiple of 4, each run started at -0 and the whole added to 0, so
+    signed zeros agree too (Higham, SIAM J. Sci. Comput. 14, 1993)."""
     if hi is None:
         return 0j + _sum(terms, 0, len(terms))
     n = hi - lo
