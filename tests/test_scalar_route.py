@@ -108,6 +108,8 @@ def _cases(rng):
         yield "kernel theta", lambda x: reproducing_kernel(x, w, params), z
         yield "kernel sum", lambda x: reproducing_kernel(w, x, params, path="sum"), z
         yield "A", lambda x: bargmann_kernel_A(x, q, params), z
+        wide = SpaceParams(0.01, params.alpha)  # Im tau = nu/pi: a 109-term window, past _sum's 64-term runs
+        yield "A long window", lambda x: bargmann_kernel_A(x, q, wide), z
         yield "G", lambda x: generating_kernel_G(x, q, params), z
         yield "generating sum", lambda x: generating_kernel_sum(x, q, params), z
         low = SpaceParams(float(rng.uniform(0.5, 4.0)), params.alpha)
@@ -130,4 +132,4 @@ def test_scalar_equals_array_to_the_last_bit():
         assert isinstance(scalar, complex) and array.shape == (1,)
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
-    assert len(seen) == 15
+    assert len(seen) == 16
