@@ -25,7 +25,6 @@ law.  The inverse transform pairs a member f against G:
 """
 
 import math
-from dataclasses import dataclass
 
 from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
 from .core import _as_complex, _exp, _finite, _mul, _reduce, np
@@ -46,12 +45,8 @@ def phi_basis(n, q, alpha):
     return vals if isinstance(q, complex) or q.ndim else complex(vals)
 
 
-@dataclass(frozen=True, init=False)
 class LineElement(_Expansion):
     """Finite combination sum b_n phi_n in the line space."""
-
-    alpha: float
-    coeffs: tuple
 
     SPACE = "alpha"
 

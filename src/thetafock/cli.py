@@ -9,23 +9,18 @@ the form a+bi, spaced from their option or joined to it with '='.  Output
 is always plain text, so NO_COLOR needs no special handling.  Exit codes:
 0 success, 1 domain or numerical error, 2 verification failure, 64 usage
 error.
+
+Each subcommand imports the library modules it runs when it runs, so one
+process loads only those (`theta eval`: core and theta).
 """
 
 import argparse
 import cmath
-import csv
-import io
 import json
 import math
 import sys
 
 from .core import DEFAULT_BUDGET, DomainError, EvaluationError, TruncationBudget, TruncationError
-from .bargmann import LineElement, bargmann_inverse, bargmann_transform_coeffs
-from .fock import FockElement, SpaceParams, basis_psi, reproducing_kernel, theta_membership
-from .landau import LandauElement, basis_psi_mn, eigen_residual, landau_apply
-from .quadrature import strip_gram
-from .theta import ThetaArgs, riemann_theta
-from .verify import SAMPLE_Z, run_acceptance
 
 PI = math.pi
 
@@ -77,6 +72,14 @@ def _finite_float(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of a tolerance: a finite number > 0."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _cnum(value):
     value = complex(value)
     return {"re": value.real, "im": value.imag}
@@ -116,6 +119,9 @@ def _flatten(record):
 
 
 def _to_csv(rows):
+    import csv
+    import io
+
     if not rows:
         return ""
     flat = [_flatten(r) for r in rows]
@@ -133,6 +139,8 @@ def _format(payload, rows, fmt):
 
 
 def _cmd_theta_eval(args):
+    from .theta import ThetaArgs, riemann_theta
+
     budget = TruncationBudget(tol=args.tol) if args.tol is not None else DEFAULT_BUDGET
     value = riemann_theta(ThetaArgs(args.alpha, args.beta, parse_complex(args.tau)), parse_complex(args.z), budget)
     payload = _cnum(value)
@@ -140,6 +148,8 @@ def _cmd_theta_eval(args):
 
 
 def _cmd_fock_psi(args):
+    from .fock import SpaceParams, basis_psi
+
     params = SpaceParams(args.nu, args.alpha)
     value = basis_psi(args.n, parse_complex(args.z), params)
     payload = _cnum(value)
@@ -147,11 +157,16 @@ def _cmd_fock_psi(args):
 
 
 def _cmd_fock_gram(args):
+    from .fock import SpaceParams
+    from .landau import basis_psi_mn
+    from .quadrature import strip_gram
+
     params = SpaceParams(args.nu, args.alpha)
     if args.nmax < args.nmin:
         raise UsageError(f"--nmax must be >= --nmin, got {args.nmin}..{args.nmax}")
-    levels = args.mlevels if args.mlevels is not None else 0
-    modes = [(m, n) for m in range(0, levels + 1) for n in range(args.nmin, args.nmax + 1)]
+    if args.mlevels < 0:
+        raise UsageError(f"--mlevels must be >= 0, got {args.mlevels}")
+    modes = [(m, n) for m in range(0, args.mlevels + 1) for n in range(args.nmin, args.nmax + 1)]
     fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m, n in modes]
     entries = []
     for (m1, n1), row in zip(modes, strip_gram(fs, params.nu, params.alpha).tolist()):
@@ -162,6 +177,8 @@ def _cmd_fock_gram(args):
 
 
 def _cmd_fock_kernel(args):
+    from .fock import SpaceParams, reproducing_kernel
+
     params = SpaceParams(args.nu, args.alpha)
     value = reproducing_kernel(parse_complex(args.z), parse_complex(args.w), params, path=args.path)
     payload = _cnum(value)
@@ -169,6 +186,9 @@ def _cmd_fock_kernel(args):
 
 
 def _cmd_fock_member(args):
+    from .fock import SpaceParams, theta_membership
+    from .theta import ThetaArgs
+
     params = SpaceParams(args.nu, args.alpha)
     result = theta_membership(ThetaArgs(args.alpha, args.beta, parse_complex(args.tau)), params)
     payload = {"in_space": result.in_space, "norm": result.norm}
@@ -176,6 +196,8 @@ def _cmd_fock_member(args):
 
 
 def _cmd_bargmann_forward(args):
+    from .bargmann import LineElement, bargmann_transform_coeffs
+
     line_elem = _load_element(args.infile, LineElement)
     fock_elem = bargmann_transform_coeffs(line_elem, args.nu)
     if args.z is not None:
@@ -189,6 +211,9 @@ def _cmd_bargmann_forward(args):
 
 
 def _cmd_bargmann_inverse(args):
+    from .bargmann import bargmann_inverse
+    from .fock import FockElement
+
     fock_elem = _load_element(args.infile, FockElement)
     value = bargmann_inverse(fock_elem, args.q)
     payload = _cnum(value)
@@ -196,6 +221,8 @@ def _cmd_bargmann_inverse(args):
 
 
 def _cmd_landau_apply(args):
+    from .landau import LandauElement, landau_apply
+
     elem = _load_element(args.infile, LandauElement)
     value = landau_apply(elem.evaluate, parse_complex(args.z), elem.params)
     payload = _cnum(value)
@@ -203,6 +230,8 @@ def _cmd_landau_apply(args):
 
 
 def _cmd_landau_shift(args):
+    from .landau import LandauElement
+
     elem = _load_element(args.infile, LandauElement)
     shifted = elem.raised() if args.direction == "raise" else elem.lowered()
     payload = shifted.to_dict()
@@ -211,6 +240,9 @@ def _cmd_landau_shift(args):
 
 
 def _cmd_landau_eigres(args):
+    from .fock import SpaceParams
+    from .landau import SAMPLE_Z, eigen_residual
+
     params = SpaceParams(args.nu, args.alpha)
     residual = eigen_residual(args.m, args.n, params, SAMPLE_Z)
     payload = {"m": args.m, "n": args.n, "eigenvalue": params.nu * args.m, "residual": residual}
@@ -218,6 +250,8 @@ def _cmd_landau_eigres(args):
 
 
 def _cmd_verify_all(args):
+    from .verify import run_acceptance
+
     report = run_acceptance(args.tol)
     payload = report.to_dict()
     code = 0 if report.all_passed else 2
@@ -243,7 +277,7 @@ def build_parser():
     sub.add_argument("--beta", type=float, required=True)
     sub.add_argument("--tau", required=True)
     sub.add_argument("--z", required=True)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_tolerance, default=None)
 
     fock_group = top.add_parser("fock").add_subparsers(dest="command", required=True)
     sub = leaf(fock_group, "psi", _cmd_fock_psi)
@@ -256,7 +290,7 @@ def build_parser():
     sub.add_argument("--alpha", type=float, required=True)
     sub.add_argument("--nmin", type=int, required=True)
     sub.add_argument("--nmax", type=int, required=True)
-    sub.add_argument("--mlevels", type=int, default=None)
+    sub.add_argument("--mlevels", type=int, default=0)
     sub = leaf(fock_group, "kernel", _cmd_fock_kernel)
     sub.add_argument("--nu", type=float, required=True)
     sub.add_argument("--alpha", type=float, required=True)
@@ -298,7 +332,7 @@ def build_parser():
 
     verify_group = top.add_parser("verify").add_subparsers(dest="command", required=True)
     sub = leaf(verify_group, "all", _cmd_verify_all)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--tol", type=_tolerance, default=None)
 
     return parser
 

@@ -12,6 +12,13 @@ complex/cmath/math; an ndarray the array route; one formula serves both.  Only
 exp and the reductions dispatch; _mul and _div round as Python's complex type
 on both routes (numpy may fuse a complex product's multiply-add), so a scalar
 value equals its array counterpart to the last bit.
+
+What loads when: this module imports only the standard library, and numpy
+lazily as above.  The library's value types (TruncationBudget here,
+ThetaArgs, SpaceParams, MembershipResult and the quadrature schemes) are
+namedtuples validated in __new__, so no module on the scalar route imports
+dataclasses (and with it inspect); only theta's shift of a large Re tau
+imports fractions.
 """
 
 import cmath
@@ -20,8 +27,7 @@ import importlib.util
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 
 def _lazy(name):
@@ -52,22 +58,21 @@ class EvaluationError(ArithmeticError):
     """A user-supplied callable produced a non-finite value at a node."""
 
 
-@dataclass(frozen=True)
-class TruncationBudget:
+class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
     """Truncation policy of every series: tol bounds the tail left out
     relative to sum |term|, and max_terms caps the one-sided terms.  The theta
     window (theta._theta_exp) fixes its width from tol in closed form;
     bilateral_sum stops on it and also raises once rounding, eps * sum |term|,
     exceeds tol relative to the sum."""
 
-    tol: float = 1e-12
-    max_terms: int = 10000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise DomainError(f"budget tol must be positive and finite, got {self.tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"budget max_terms must be >= 1, got {self.max_terms}")
+    def __new__(cls, tol=1e-12, max_terms=10000):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise DomainError(f"budget tol must be positive and finite, got {tol}")
+        if max_terms < 1:
+            raise DomainError(f"budget max_terms must be >= 1, got {max_terms}")
+        return super().__new__(cls, tol, max_terms)
 
 
 DEFAULT_BUDGET = TruncationBudget()
@@ -185,15 +190,16 @@ def character(alpha, m):
     """Unit circle character chi_alpha(m) = exp(2*pi*i*alpha*m) for integer m.
 
     The phase alpha*m is reduced mod 1 exactly (alpha is a dyadic rational
-    in double precision, so Fraction arithmetic is lossless) before
-    exponentiating; chi(m1 + m2) = chi(m1) * chi(m2) then holds to roundoff
-    for arbitrarily large |m|.
+    num/den in double precision, so integer arithmetic is lossless, and int/int
+    division rounds correctly) before exponentiating; chi(m1 + m2) =
+    chi(m1) * chi(m2) then holds to roundoff for arbitrarily large |m|.
     """
     if m != int(m):
         raise DomainError(f"character argument must be an integer, got {m}")
     if not math.isfinite(alpha):
         raise DomainError(f"character exponent must be finite, got {alpha}")
-    frac = float((Fraction(float(alpha)) * int(m)) % 1)
+    num, den = float(alpha).as_integer_ratio()
+    frac = num * int(m) % den / den
     return cmath.exp(2j * math.pi * frac)
 
 

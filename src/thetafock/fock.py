@@ -39,24 +39,23 @@ their normalization inside a single exp call as well.
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _reduce, bilateral_sum, character, np
 from .theta import _theta_value
 
 
-@dataclass(frozen=True)
-class SpaceParams:
+class SpaceParams(namedtuple("SpaceParams", "nu alpha")):
     """Gaussian weight rate nu > 0 and character exponent alpha."""
 
-    nu: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.nu > 0.0 and math.isfinite(self.nu)):
-            raise DomainError(f"nu must be positive and finite, got {self.nu}")
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be finite, got {self.alpha}")
+    def __new__(cls, nu, alpha):
+        if not (nu > 0.0 and math.isfinite(nu)):
+            raise DomainError(f"nu must be positive and finite, got {nu}")
+        if not math.isfinite(alpha):
+            raise DomainError(f"alpha must be finite, got {alpha}")
+        return super().__new__(cls, nu, alpha)
 
 
 def _index(value):
@@ -70,12 +69,13 @@ def _index(value):
 class _Expansion:
     """Finite expansion sum c_k b_k over one family of modes b_k.
 
-    Subclasses are frozen dataclasses whose two fields are the space (a
-    SpaceParams under "params", or the bare alpha of the line) and the
-    sorted tuple `coeffs` of (key, complex coefficient) pairs.  Each
-    supplies the mode function `_mode(key, z)`, its key fields KEYS, the
-    record header (`_header` / `_space_from`, nu and alpha by default) and
-    `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
+    An instance is immutable, with two fields: the space (a SpaceParams
+    under "params", or the bare alpha of the line, named by SPACE) and the
+    sorted tuple `coeffs` of (key, complex coefficient) pairs; equality and
+    hashing go by the class and both fields.  Each subclass supplies the
+    mode function `_mode(key, z)`, its key fields KEYS, the record header
+    (`_header` / `_space_from`, nu and alpha by default) and `weight(key)` =
+    ||b_k||, so that the norm is the Parseval sum.
     Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
     """
 
@@ -88,6 +88,24 @@ class _Expansion:
         object.__setattr__(self, "coeffs", cleaned)
 
     _clean_key = staticmethod(_index)
+
+    def _state(self):
+        return getattr(self, self.SPACE), self.coeffs
+
+    def __eq__(self, other):
+        return self._state() == other._state() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._state())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.SPACE}={getattr(self, self.SPACE)!r}, coeffs={self.coeffs!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def weight(self, key):
         return 1.0
@@ -162,16 +180,12 @@ def basis_psi(n, z, params):
     return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")
 
 
-@dataclass(frozen=True, init=False)
 class FockElement(_Expansion):
     """Finite linear combination sum a_n e_n in the quasi-periodic space.
 
     Coefficients are stored against the unnormalized modes e_n; use
     from_psi_coeffs / psi_coeffs for the orthonormal convention.
     """
-
-    params: SpaceParams
-    coeffs: tuple
 
     def _mode(self, n, z):
         return basis_e(n, z, self.params)
@@ -199,10 +213,8 @@ def quasiperiod_factor(z, m, params):
     """Automorphy factor chi_alpha(m) * exp(nu*(z + m/2)*m) of the lattice step m."""
     if m != int(m):
         raise DomainError(f"lattice step must be an integer, got {m}")
-    m = int(m)
-    zz = np.asarray(z, dtype=complex)
-    vals = character(params.alpha, m) * np.exp(params.nu * (zz + m / 2.0) * m)
-    return complex(vals) if zz.ndim == 0 else vals
+    m, z = int(m), _as_complex(z)
+    return _mul(character(params.alpha, m), _exp(params.nu * (z + m / 2.0) * m))
 
 
 def quasiperiod_residual(f, z, m, params):
@@ -218,9 +230,8 @@ def periodic_part(f, z, params):
 
     For a member of the space the result is 1-periodic in z.
     """
-    zz = np.asarray(z, dtype=complex)
-    vals = np.exp(-0.5 * params.nu * zz * zz - 2j * math.pi * params.alpha * zz) * np.asarray(f(zz), dtype=complex)
-    return complex(vals) if zz.ndim == 0 else vals
+    z = _as_complex(z)
+    return _mul(_exp(_mul(-0.5 * params.nu * z, z) - 2j * math.pi * params.alpha * z), _as_complex(f(z)))
 
 
 def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
@@ -248,19 +259,15 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
 
 def pointwise_bound(z, params, budget=DEFAULT_BUDGET):
     """Growth envelope K(z,z)^(1/2): |f(z)| <= ||f|| * pointwise_bound(z)."""
-    kzz = reproducing_kernel(z, z, params, budget)
-    diag = np.maximum(np.real(np.asarray(kzz)), 0.0)
-    vals = np.sqrt(diag)
-    return float(vals) if np.ndim(kzz) == 0 else vals
+    kzz = reproducing_kernel(z, z, params, budget).real
+    return math.sqrt(max(kzz, 0.0)) if isinstance(kzz, float) else np.sqrt(np.maximum(kzz, 0.0))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(namedtuple("MembershipResult", "in_space norm")):
     """Outcome of the theta membership test: the decision and, when the
-    member exists, its space norm."""
+    member exists, its space norm (None otherwise)."""
 
-    in_space: bool
-    norm: float | None
+    __slots__ = ()
 
 
 def theta_member(targs, params, budget=DEFAULT_BUDGET):

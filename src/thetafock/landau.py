@@ -40,14 +40,15 @@ import cmath
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, _sum, hermite_poly, np
-from .fock import SpaceParams, _Expansion, _index
+from .fock import _Expansion, _index
 from .quadrature import _evaluate_on
 
 MAX_LEVEL = 40
 STEP = 1e-4
+# Sample points of the eigen-equation checks (verify, `landau eigres`).
+SAMPLE_Z = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j, 0.65 - 0.75j, 0.5 + 1.0j)
 # numpy divides a complex array by a real number as the product with its
 # reciprocal; the weights multiply by it on both routes
 _INV_STEP = 1.0 / STEP
@@ -92,12 +93,8 @@ def basis_psi_mn(m, n, z, params):
     return _finite(_exp(expo) * hermite_poly(m, xi), f"psi_{{{m},{n}}}")
 
 
-@dataclass(frozen=True, init=False)
 class LandauElement(_Expansion):
     """Finite combination sum c_{m,n} psi_{m,n} in the orthonormal eigenbasis."""
-
-    params: SpaceParams
-    coeffs: tuple
 
     KEYS = ("m", "n")
 

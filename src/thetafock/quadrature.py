@@ -20,7 +20,7 @@ accurate for the sqrt(2)-periodic functions it is used on.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import DomainError, EvaluationError, np
@@ -33,22 +33,20 @@ def _hermgauss(order):
     return np.polynomial.hermite.hermgauss(order)
 
 
-@dataclass(frozen=True)
-class StripScheme:
+class StripScheme(namedtuple("StripScheme", "x_points y_order y_shift")):
     """Tensor quadrature on the strip: trapezoid nodes in x, Gauss-Hermite
     order in y, and the recentering shift of the y rule."""
 
-    x_points: int = 64
-    y_order: int = 64
-    y_shift: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x_points < 4:
-            raise DomainError(f"x_points must be >= 4, got {self.x_points}")
-        if self.y_order < 8:
-            raise DomainError(f"y_order must be >= 8, got {self.y_order}")
-        if not math.isfinite(self.y_shift):
-            raise DomainError(f"y_shift must be finite, got {self.y_shift}")
+    def __new__(cls, x_points=64, y_order=64, y_shift=0.0):
+        if x_points < 4:
+            raise DomainError(f"x_points must be >= 4, got {x_points}")
+        if y_order < 8:
+            raise DomainError(f"y_order must be >= 8, got {y_order}")
+        if not math.isfinite(y_shift):
+            raise DomainError(f"y_shift must be finite, got {y_shift}")
+        return super().__new__(cls, x_points, y_order, y_shift)
 
     @classmethod
     def centered(cls, nu, alpha, n_bar):
@@ -62,15 +60,15 @@ class StripScheme:
         return StripScheme(2 * self.x_points, 2 * self.y_order, self.y_shift)
 
 
-@dataclass(frozen=True)
-class LineScheme:
+class LineScheme(namedtuple("LineScheme", "q_points")):
     """Trapezoid rule with q_points nodes on [0, sqrt(2)]."""
 
-    q_points: int = 256
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q_points < 4:
-            raise DomainError(f"q_points must be >= 4, got {self.q_points}")
+    def __new__(cls, q_points=256):
+        if q_points < 4:
+            raise DomainError(f"q_points must be >= 4, got {q_points}")
+        return super().__new__(cls, q_points)
 
     def doubled(self):
         return LineScheme(2 * self.q_points)

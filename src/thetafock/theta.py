@@ -31,8 +31,7 @@ numpy's order; arrays by numpy, _CHUNK points at a time, to the same bits.
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _div, _exp, _finite, _mul, _sum, np
@@ -40,19 +39,17 @@ from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _di
 _CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class ThetaArgs:
+class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
     """Characteristics and modular parameter of a theta series."""
 
-    alpha: float
-    beta: float
-    tau: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __new__(cls, alpha, beta, tau):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("theta characteristics must be finite reals")
-        if not (complex(self.tau).imag > 0.0 and cmath.isfinite(complex(self.tau))):
-            raise DomainError(f"tau must be finite with Im tau > 0, got {self.tau}")
+        if not (complex(tau).imag > 0.0 and cmath.isfinite(complex(tau))):
+            raise DomainError(f"tau must be finite with Im tau > 0, got {tau}")
+        return super().__new__(cls, alpha, beta, tau)
 
 
 @lru_cache(maxsize=64)
@@ -76,6 +73,8 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     if k:
         # theta_{a,b}(z | tau + k) = exp(-i pi a (a+1) k) theta_{a, b + k (a + 1/2)}(z | tau): the
         # shift of b and the phase are reduced mod 1 exactly, so a large Re tau costs no digits.
+        from fractions import Fraction
+
         a, shift = Fraction(alpha), Fraction(beta) + k * (Fraction(alpha) + Fraction(1, 2))
         j = math.floor(shift)
         logpref = logpref + 2j * math.pi * float(a * (j - k * (a + 1) / 2) % 1)
@@ -136,10 +135,8 @@ def theta3_periodicity_factor(z, tau, l, m):
     """
     if l != int(l) or m != int(m):
         raise DomainError(f"lattice steps must be integers, got l={l}, m={m}")
-    l = int(l)
-    zz = np.asarray(z, dtype=complex)
-    vals = np.exp(-1j * math.pi * l * l * complex(tau) - 2j * math.pi * l * zz)
-    return complex(vals) if zz.ndim == 0 else vals
+    l, z = int(l), _as_complex(z)
+    return _exp(-1j * math.pi * l * l * complex(tau) - 2j * math.pi * l * z)
 
 
 def theta3_inversion_rhs(z, tau, budget=DEFAULT_BUDGET):
@@ -148,7 +145,6 @@ def theta3_inversion_rhs(z, tau, budget=DEFAULT_BUDGET):
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise DomainError(f"tau must satisfy Im tau > 0, got {tau}")
-    zz = np.asarray(z, dtype=complex)
-    root = cmath.sqrt(1j / tau)
-    vals = root * np.exp(-1j * math.pi * zz * zz / tau) * jacobi_theta3(zz / tau, -1.0 / tau, budget)
-    return complex(vals) if zz.ndim == 0 else vals
+    z = _as_complex(z)
+    gauss = _mul(cmath.sqrt(1j / tau), _exp(_div(_mul(-1j * math.pi * z, z), tau)))
+    return _mul(gauss, jacobi_theta3(_div(z, tau), -1.0 / tau, budget))

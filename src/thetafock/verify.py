@@ -27,7 +27,7 @@ from .bargmann import (
     generating_kernel_sum,
     phi_basis,
 )
-from .core import TruncationBudget, np
+from .core import DomainError, TruncationBudget, np
 from .fock import (
     FockElement,
     SpaceParams,
@@ -41,6 +41,7 @@ from .fock import (
     theta_membership,
 )
 from .landau import (
+    SAMPLE_Z,
     LandauElement,
     annihilation_apply,
     basis_psi_mn,
@@ -59,7 +60,6 @@ SETTINGS = (
     SpaceParams(2.0, -0.25),
     SpaceParams(0.7, 0.5),
 )
-SAMPLE_Z = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j, 0.65 - 0.75j, 0.5 + 1.0j)
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,9 @@ CRITERIA = (
 
 def run_acceptance(tol=None):
     """Run all acceptance criteria; tol, when given, replaces every pinned
-    tolerance."""
+    tolerance; it must be a finite positive number."""
+    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     start = time.perf_counter()
     cases = []
     for criterion in CRITERIA:

@@ -7,6 +7,7 @@ pass/fail line per criterion (visible with pytest -s or on failure).
 import pytest
 
 from thetafock import verify
+from thetafock.core import DomainError
 
 
 def _check(cases):
@@ -82,3 +83,13 @@ def test_full_report_consistency():
     assert report.all_passed
     for case in report.cases:
         assert case.passed == (abs(case.expected - case.actual) <= case.tolerance)
+
+
+@pytest.mark.parametrize("tol", (float("inf"), float("nan"), 0.0, -1.0))
+def test_run_acceptance_rejects_bad_tol_before_running(tol, monkeypatch):
+    def criterion():
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(verify, "CRITERIA", (criterion,))
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        verify.run_acceptance(tol)

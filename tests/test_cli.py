@@ -257,3 +257,18 @@ def test_bad_coefficient_or_fractional_index_is_usage_error(tmp_path):
         bad.write_text(json.dumps({"alpha": 0.3, "coeffs": [row]}))
         code, text = run_command(["bargmann", "forward", "--in", str(bad), "--z", "0.1"])
         assert code == 64, text
+
+
+@pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1"))
+def test_tol_must_be_finite_and_positive(tol):
+    theta = ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i", "--z", "0"]
+    for argv in (theta, ["verify", "all"]):
+        code, text = run_command(argv + ["--tol", tol])
+        assert code == 64 and text.startswith("usage error: argument --tol:"), text
+
+
+def test_fock_gram_negative_mlevels_is_usage_error():
+    gram = ["fock", "gram", "--nu", "3.14", "--alpha", "0.3", "--nmin", "0", "--nmax", "1", "--mlevels", "-1"]
+    for fmt in ("json", "csv"):
+        code, text = run_command(gram + ["--format", fmt])
+        assert code == 64 and "--mlevels" in text, text

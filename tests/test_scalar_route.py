@@ -4,7 +4,8 @@ last bit of the array route.
 A Python number takes complex/cmath/math arithmetic; an ndarray takes numpy.
 Both run one copy of each formula, so f(z) must equal f(np.array([z]))[0]
 exactly, and the CLI leaves that evaluate at one point must never execute a
-numpy module.
+numpy module.  Those leaves also load no module they do not run: not
+dataclasses, fractions, csv or thetafock.verify.
 """
 
 import json
@@ -24,9 +25,18 @@ from thetafock.bargmann import (
     generating_kernel_sum,
 )
 from thetafock.core import _sum
-from thetafock.fock import FockElement, SpaceParams, basis_e, basis_psi, reproducing_kernel
+from thetafock.fock import (
+    FockElement,
+    SpaceParams,
+    basis_e,
+    basis_psi,
+    periodic_part,
+    pointwise_bound,
+    quasiperiod_factor,
+    reproducing_kernel,
+)
 from thetafock.landau import LandauElement, annihilation_apply, basis_psi_mn, creation_apply, landau_apply
-from thetafock.theta import ThetaArgs, riemann_theta
+from thetafock.theta import ThetaArgs, riemann_theta, theta3_inversion_rhs, theta3_periodicity_factor
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -48,7 +58,9 @@ _GUARD = """
 import json, sys
 from thetafock.cli import run_command
 code, text = run_command(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "text": text, "numpy": sorted(m for m in sys.modules if m.startswith("numpy."))}))
+print(json.dumps({"code": code, "text": text, "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+                  "unused": sorted({"dataclasses", "fractions", "csv", "thetafock.verify"} & set(sys.modules)),
+                  "thetafock": sorted(m for m in sys.modules if m.startswith("thetafock."))}))
 """
 
 
@@ -65,6 +77,9 @@ def test_scalar_leaf_executes_no_numpy(leaf, tmp_path):
     result = json.loads(proc.stdout)
     assert result["code"] == 0, result["text"]
     assert result["numpy"] == []
+    assert result["unused"] == []
+    if leaf == "theta-eval":
+        assert result["thetafock"] == ["thetafock.cli", "thetafock.core", "thetafock.theta"]
 
 
 @pytest.mark.parametrize("first", ("numpy", "thetafock"))
@@ -123,6 +138,11 @@ def _cases(rng):
         yield "FockElement.evaluate", fock.evaluate, z
         landau = LandauElement(low, {(k % 3, k - 3): c for k, c in enumerate(coeffs)})
         yield "LandauElement.evaluate", landau.evaluate, z
+        yield "theta3_periodicity_factor", lambda x: theta3_periodicity_factor(x, tau, n, level), z
+        yield "theta3_inversion_rhs", lambda x: theta3_inversion_rhs(x, tau), z
+        yield "quasiperiod_factor", lambda x: quasiperiod_factor(x, n, params), z
+        yield "periodic_part", lambda x: periodic_part(fock.evaluate, x, params), z
+        yield "pointwise_bound", lambda x: pointwise_bound(x, params) + 0j, z  # a real value, as a complex
 
 
 def test_scalar_equals_array_to_the_last_bit():
@@ -132,4 +152,4 @@ def test_scalar_equals_array_to_the_last_bit():
         assert isinstance(scalar, complex) and array.shape == (1,)
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
-    assert len(seen) == 16
+    assert len(seen) == 21
