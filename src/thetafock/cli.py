@@ -22,8 +22,6 @@ import sys
 
 from .core import DEFAULT_BUDGET, DomainError, EvaluationError, TruncationBudget, TruncationError
 
-PI = math.pi
-
 
 class UsageError(Exception):
     """Bad invocation or malformed input; maps to exit code 64."""
@@ -80,31 +78,33 @@ def _tolerance(text):
     return value
 
 
-def _cnum(value):
+def _value(value):
+    """Result of a leaf that prints one complex number."""
     value = complex(value)
-    return {"re": value.real, "im": value.imag}
+    payload = {"re": value.real, "im": value.imag}
+    return 0, payload, [{"value": payload}]
 
 
-def _load_json(path):
+def _element_out(elem, out):
+    """Result of a leaf that prints an element, and writes it to the path `out` unless that is None."""
+    payload = elem.to_dict()
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
+    return 0, payload, [dict(c) for c in payload["coeffs"]]
+
+
+def _load_element(path, cls):
+    """The cls element stored as JSON at path; a missing or malformed file is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return cls.from_dict(json.load(fh))
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
-
-
-def _load_element(path, cls):
-    try:
-        return cls.from_dict(_load_json(path))
     except DomainError as exc:
         raise UsageError(f"malformed element in {path}: {exc}") from None
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _flatten(record):
@@ -132,28 +132,19 @@ def _to_csv(rows):
     return buf.getvalue().rstrip("\n")
 
 
-def _format(payload, rows, fmt):
-    if fmt == "csv":
-        return _to_csv(rows)
-    return json.dumps(payload, indent=2)
-
-
 def _cmd_theta_eval(args):
     from .theta import ThetaArgs, riemann_theta
 
+    targs = ThetaArgs(args.alpha, args.beta, parse_complex(args.tau))
     budget = TruncationBudget(tol=args.tol) if args.tol is not None else DEFAULT_BUDGET
-    value = riemann_theta(ThetaArgs(args.alpha, args.beta, parse_complex(args.tau)), parse_complex(args.z), budget)
-    payload = _cnum(value)
-    return 0, payload, [{"value": payload}]
+    return _value(riemann_theta(targs, parse_complex(args.z), budget))
 
 
 def _cmd_fock_psi(args):
     from .fock import SpaceParams, basis_psi
 
     params = SpaceParams(args.nu, args.alpha)
-    value = basis_psi(args.n, parse_complex(args.z), params)
-    payload = _cnum(value)
-    return 0, payload, [{"value": payload}]
+    return _value(basis_psi(args.n, parse_complex(args.z), params))
 
 
 def _cmd_fock_gram(args):
@@ -180,9 +171,7 @@ def _cmd_fock_kernel(args):
     from .fock import SpaceParams, reproducing_kernel
 
     params = SpaceParams(args.nu, args.alpha)
-    value = reproducing_kernel(parse_complex(args.z), parse_complex(args.w), params, path=args.path)
-    payload = _cnum(value)
-    return 0, payload, [{"value": payload}]
+    return _value(reproducing_kernel(parse_complex(args.z), parse_complex(args.w), params, path=args.path))
 
 
 def _cmd_fock_member(args):
@@ -198,45 +187,31 @@ def _cmd_fock_member(args):
 def _cmd_bargmann_forward(args):
     from .bargmann import LineElement, bargmann_transform_coeffs
 
-    line_elem = _load_element(args.infile, LineElement)
-    fock_elem = bargmann_transform_coeffs(line_elem, args.nu)
+    fock_elem = bargmann_transform_coeffs(_load_element(args.infile, LineElement), args.nu)
     if args.z is not None:
-        value = fock_elem.evaluate(parse_complex(args.z))
-        payload = _cnum(value)
-        return 0, payload, [{"value": payload}]
-    payload = fock_elem.to_dict()
-    if args.out is not None:
-        _write_json(args.out, payload)
-    return 0, payload, [dict(c) for c in payload["coeffs"]]
+        return _value(fock_elem.evaluate(parse_complex(args.z)))
+    return _element_out(fock_elem, args.out)
 
 
 def _cmd_bargmann_inverse(args):
     from .bargmann import bargmann_inverse
     from .fock import FockElement
 
-    fock_elem = _load_element(args.infile, FockElement)
-    value = bargmann_inverse(fock_elem, args.q)
-    payload = _cnum(value)
-    return 0, payload, [{"value": payload}]
+    return _value(bargmann_inverse(_load_element(args.infile, FockElement), args.q))
 
 
 def _cmd_landau_apply(args):
     from .landau import LandauElement, landau_apply
 
     elem = _load_element(args.infile, LandauElement)
-    value = landau_apply(elem.evaluate, parse_complex(args.z), elem.params)
-    payload = _cnum(value)
-    return 0, payload, [{"value": payload}]
+    return _value(landau_apply(elem.evaluate, parse_complex(args.z), elem.params))
 
 
 def _cmd_landau_shift(args):
     from .landau import LandauElement
 
     elem = _load_element(args.infile, LandauElement)
-    shifted = elem.raised() if args.direction == "raise" else elem.lowered()
-    payload = shifted.to_dict()
-    _write_json(args.out, payload)
-    return 0, payload, [dict(c) for c in payload["coeffs"]]
+    return _element_out(elem.raised() if args.direction == "raise" else elem.lowered(), args.out)
 
 
 def _cmd_landau_eigres(args):
@@ -253,9 +228,45 @@ def _cmd_verify_all(args):
     from .verify import run_acceptance
 
     report = run_acceptance(args.tol)
-    payload = report.to_dict()
     code = 0 if report.all_passed else 2
-    return code, payload, [c.to_dict() for c in report.cases]
+    return code, report.to_dict(), [c.to_dict() for c in report.cases]
+
+
+# Every option, declared once as its add_argument keywords; bargmann forward adds its optional --nu, --z and --out.
+_OPTIONS = {
+    "--alpha": {"type": _finite_float, "required": True},
+    "--beta": {"type": _finite_float, "required": True},
+    "--nu": {"type": _finite_float, "required": True},
+    "--tau": {"required": True},
+    "--z": {"required": True},
+    "--w": {"required": True},
+    "--n": {"type": int, "required": True},
+    "--m": {"type": int, "required": True},
+    "--nmin": {"type": int, "required": True},
+    "--nmax": {"type": int, "required": True},
+    "--mlevels": {"type": int, "default": 0},
+    "--path": {"choices": ("theta", "sum"), "default": "theta"},
+    "--in": {"dest": "infile", "required": True},
+    "--out": {"required": True},
+    "--q": {"type": _finite_float, "required": True},
+    "--tol": {"type": _tolerance, "default": None},
+}
+
+# (group, leaf, handler, options in help order, fixed defaults); groups appear in first-use order.
+_LEAVES = (
+    ("theta", "eval", _cmd_theta_eval, ("--alpha", "--beta", "--tau", "--z", "--tol"), {}),
+    ("fock", "psi", _cmd_fock_psi, ("--nu", "--alpha", "--n", "--z"), {}),
+    ("fock", "gram", _cmd_fock_gram, ("--nu", "--alpha", "--nmin", "--nmax", "--mlevels"), {}),
+    ("fock", "kernel", _cmd_fock_kernel, ("--nu", "--alpha", "--z", "--w", "--path"), {}),
+    ("fock", "member", _cmd_fock_member, ("--nu", "--alpha", "--beta", "--tau"), {}),
+    ("bargmann", "forward", _cmd_bargmann_forward, ("--in",), {}),
+    ("bargmann", "inverse", _cmd_bargmann_inverse, ("--in", "--q"), {}),
+    ("landau", "apply", _cmd_landau_apply, ("--in", "--z"), {}),
+    ("landau", "raise", _cmd_landau_shift, ("--in", "--out"), {"direction": "raise"}),
+    ("landau", "lower", _cmd_landau_shift, ("--in", "--out"), {"direction": "lower"}),
+    ("landau", "eigres", _cmd_landau_eigres, ("--nu", "--alpha", "--m", "--n"), {}),
+    ("verify", "all", _cmd_verify_all, ("--tol",), {}),
+)
 
 
 def build_parser():
@@ -264,76 +275,20 @@ def build_parser():
         description="Quasi-periodic theta function spaces: evaluation, transforms, verification.",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def leaf(group, name, handler, **defaults):
-        sub = group.add_parser(name)
+    groups = {}
+    for group, name, handler, options, defaults in _LEAVES:
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="command", required=True)
+        sub = groups[group].add_parser(name)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         sub.set_defaults(handler=handler, **defaults)
-        return sub
-
-    theta_group = top.add_parser("theta").add_subparsers(dest="command", required=True)
-    sub = leaf(theta_group, "eval", _cmd_theta_eval)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--beta", type=float, required=True)
-    sub.add_argument("--tau", required=True)
-    sub.add_argument("--z", required=True)
-    sub.add_argument("--tol", type=_tolerance, default=None)
-
-    fock_group = top.add_parser("fock").add_subparsers(dest="command", required=True)
-    sub = leaf(fock_group, "psi", _cmd_fock_psi)
-    sub.add_argument("--nu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--z", required=True)
-    sub = leaf(fock_group, "gram", _cmd_fock_gram)
-    sub.add_argument("--nu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--nmin", type=int, required=True)
-    sub.add_argument("--nmax", type=int, required=True)
-    sub.add_argument("--mlevels", type=int, default=0)
-    sub = leaf(fock_group, "kernel", _cmd_fock_kernel)
-    sub.add_argument("--nu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--z", required=True)
-    sub.add_argument("--w", required=True)
-    sub.add_argument("--path", choices=("theta", "sum"), default="theta")
-    sub = leaf(fock_group, "member", _cmd_fock_member)
-    sub.add_argument("--nu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--beta", type=float, required=True)
-    sub.add_argument("--tau", required=True)
-
-    bargmann_group = top.add_parser("bargmann").add_subparsers(dest="command", required=True)
-    sub = leaf(bargmann_group, "forward", _cmd_bargmann_forward)
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--nu", type=float, default=PI)
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--z", default=None)
-    group.add_argument("--out", default=None)
-    sub = leaf(bargmann_group, "inverse", _cmd_bargmann_inverse)
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--q", type=_finite_float, required=True)
-
-    landau_group = top.add_parser("landau").add_subparsers(dest="command", required=True)
-    sub = leaf(landau_group, "apply", _cmd_landau_apply)
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--z", required=True)
-    sub = leaf(landau_group, "raise", _cmd_landau_shift, direction="raise")
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--out", required=True)
-    sub = leaf(landau_group, "lower", _cmd_landau_shift, direction="lower")
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--out", required=True)
-    sub = leaf(landau_group, "eigres", _cmd_landau_eigres)
-    sub.add_argument("--nu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-
-    verify_group = top.add_parser("verify").add_subparsers(dest="command", required=True)
-    sub = leaf(verify_group, "all", _cmd_verify_all)
-    sub.add_argument("--tol", type=_tolerance, default=None)
-
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+        if handler is _cmd_bargmann_forward:  # evaluates at --z, or writes --out, or prints; --nu defaults to pi
+            sub.add_argument("--nu", type=_finite_float, default=math.pi)
+            exclusive = sub.add_mutually_exclusive_group()
+            exclusive.add_argument("--z", default=None)
+            exclusive.add_argument("--out", default=None)
     return parser
 
 
@@ -343,7 +298,7 @@ def run_command(argv):
     try:
         args = parser.parse_args(_join_complex_values(argv))
         code, payload, rows = args.handler(args)
-        return code, _format(payload, rows, args.format)
+        return code, _to_csv(rows) if args.format == "csv" else json.dumps(payload, indent=2)
     except UsageError as exc:
         return 64, f"usage error: {exc}"
     except (DomainError, TruncationError, EvaluationError, OverflowError) as exc:

@@ -15,8 +15,8 @@ value equals its array counterpart to the last bit.
 
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
-ThetaArgs, SpaceParams, MembershipResult and the quadrature schemes) are
-namedtuples validated in __new__, so no module on the scalar route imports
+ThetaArgs, SpaceParams, MembershipResult, the quadrature schemes and the
+verify records) are namedtuples validated in __new__, so no module imports
 dataclasses (and with it inspect); only theta's shift of a large Re tau
 imports fractions.
 """

@@ -1,14 +1,14 @@
 """Acceptance suite: every closed-form identity of the package certified
 against an independent numerical path.
 
-Each criterion produces one or more cases.  A case records the checked
-quantity as a residual: expected is the ideal value (always 0.0), actual
-is the measured deviation, and the case passes when
-|expected - actual| <= tolerance.  Closed forms are checked against
-quadrature (trapezoid x Gauss-Hermite on the strip, trapezoid on the
-line), series against independent partial summation or recomputation at
-a tighter budget, and differential identities against Wirtinger finite
-differences.
+Each criterion produces one or more cases, and every case has one shape:
+the worst deviation over the criterion's samples (0.0 for a perfect match),
+against a pinned tolerance.  A case records expected = 0.0, actual = the
+worst deviation, and passes when |expected - actual| <= tolerance; a nan
+deviation fails it.  Closed forms are checked against quadrature (trapezoid x
+Gauss-Hermite on the strip, trapezoid on the line), series against
+independent partial summation or recomputation at a tighter budget, and
+differential identities against Wirtinger finite differences.
 
 run_acceptance() executes all criteria with their pinned tolerances;
 passing an explicit tol replaces every pinned tolerance, which separates
@@ -18,7 +18,7 @@ the exact bookkeeping identities survive).
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bargmann import (
     bargmann_kernel_A,
@@ -62,86 +62,88 @@ SETTINGS = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyCase:
+class VerifyCase(namedtuple("VerifyCase", "name expected actual tolerance")):
     """One certified quantity: a residual, its ideal value and tolerance."""
 
-    name: str
-    expected: float
-    actual: float
-    tolerance: float
+    __slots__ = ()
+
+    def __new__(cls, name, expected, actual, tolerance):
+        if not tolerance >= 0.0:
+            raise DomainError(f"case {name}: tolerance must be >= 0, got {tolerance}")
+        return super().__new__(cls, name, expected, actual, tolerance)
 
     @property
     def passed(self):
         return abs(self.expected - self.actual) <= self.tolerance
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "pass": bool(self.passed),
-        }
+        return {**self._asdict(), "pass": bool(self.passed)}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    cases: tuple
-    wall_time: float
+class VerifyReport(namedtuple("VerifyReport", "suite cases wall_time")):
+    """The cases of one suite run, in criterion order, and its wall time in seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, suite, cases, wall_time):
+        return super().__new__(cls, suite, tuple(cases), wall_time)
 
     @property
     def all_passed(self):
         return all(c.passed for c in self.cases)
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "cases": [c.to_dict() for c in self.cases],
-            "wall_time": self.wall_time,
-        }
+        return {"suite": self.suite, "cases": [c.to_dict() for c in self.cases], "wall_time": self.wall_time}
 
 
-def _gram_deviation(modes, params):
-    """max over i <= j of |<f_i, f_j> - delta_ij| for strip_gram's (n, f) modes."""
+def _case(name, tolerance, deviations):
+    """The case `name`: the worst of its sample deviations, or nan if any is nan."""
+    devs = (0.0, *deviations)
+    worst = math.nan if any(map(math.isnan, devs)) else max(devs)
+    return VerifyCase(name, 0.0, worst, tolerance)
+
+
+def _rel(value, ref, floor=0.0):
+    """|value - ref| scaled by |ref|, or by floor where |ref| is smaller."""
+    return abs(value - ref) / max(floor, abs(ref))
+
+
+def _strip_norm(f, params, n_bar):
+    """Quadrature norm of f on the strip, the rule centred on mode index n_bar."""
+    scheme = StripScheme.centered(params.nu, params.alpha, n_bar)
+    return math.sqrt(strip_inner_product(f, f, params.nu, scheme).real)
+
+
+def _gram_deviations(modes, params):
+    """|<f_i, f_j> - delta_ij| over i <= j for strip_gram's (n, f) modes."""
     rows = strip_gram(modes, params.nu, params.alpha).tolist()
-    return max(abs(rows[i][j] - float(i == j)) for i in range(len(rows)) for j in range(i, len(rows)))
+    return (abs(rows[i][j] - float(i == j)) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
 def criterion_orthonormal_basis():
     """Quadrature Gram matrix of psi_n equals the identity."""
-    worst = max(
-        _gram_deviation([(n, lambda z, n=n, p=p: basis_psi(n, z, p)) for n in range(-4, 5)], p) for p in SETTINGS
+    deviations = (
+        dev for p in SETTINGS
+        for dev in _gram_deviations([(n, lambda z, n=n, p=p: basis_psi(n, z, p)) for n in range(-4, 5)], p)
     )
-    return [VerifyCase("01-orthonormal-basis", 0.0, worst, 1e-8)]
+    return [_case("01-orthonormal-basis", 1e-8, deviations)]
 
 
 def criterion_mode_norm():
     """Closed-form ||e_n|| matches the quadrature norm."""
     params = BASE_PARAMS
-    worst = 0.0
-    for n in range(-3, 4):
-        ip = strip_inner_product(
-            lambda z: basis_e(n, z, params),
-            lambda z: basis_e(n, z, params),
-            params.nu,
-            StripScheme.centered(params.nu, params.alpha, n),
-        )
-        closed = e_norm(n, params)
-        worst = max(worst, abs(math.sqrt(ip.real) - closed) / closed)
-    return [VerifyCase("02-mode-norm-closed-form", 0.0, worst, 1e-8)]
+    deviations = (
+        _rel(_strip_norm(lambda z, n=n: basis_e(n, z, params), params, n), e_norm(n, params)) for n in range(-3, 4)
+    )
+    return [_case("02-mode-norm-closed-form", 1e-8, deviations)]
 
 
 def _random_elements(rng, params, count, width=3, terms=4):
+    """`count` members, each with `terms` normal random psi coefficients on indices -width..width."""
     out = []
     for _ in range(count):
         support = rng.choice(np.arange(-width, width + 1), size=terms, replace=False)
-        coeffs = {}
-        for n in support:
-            re, im = rng.standard_normal(2)
-            coeffs[int(n)] = complex(re, im)
-        out.append(FockElement.from_psi_coeffs(params, coeffs))
+        out.append(FockElement.from_psi_coeffs(params, {int(n): complex(*rng.standard_normal(2)) for n in support}))
     return out
 
 
@@ -149,13 +151,8 @@ def criterion_parseval():
     """Parseval norm of random finite combinations matches quadrature."""
     rng = np.random.default_rng(SEED)
     params = BASE_PARAMS
-    scheme = StripScheme.centered(params.nu, params.alpha, 0)
-    worst = 0.0
-    for elem in _random_elements(rng, params, 10):
-        quad = math.sqrt(strip_inner_product(elem.evaluate, elem.evaluate, params.nu, scheme).real)
-        closed = elem.norm()
-        worst = max(worst, abs(quad - closed) / closed)
-    return [VerifyCase("03-parseval-norm", 0.0, worst, 1e-6)]
+    deviations = (_rel(_strip_norm(f.evaluate, params, 0), f.norm()) for f in _random_elements(rng, params, 10))
+    return [_case("03-parseval-norm", 1e-6, deviations)]
 
 
 def criterion_kernel_two_path():
@@ -163,13 +160,11 @@ def criterion_kernel_two_path():
     params = BASE_PARAMS
     zs = (0.1 - 0.3j, 0.35 - 0.1j, 0.6 + 0.0j, 0.8 + 0.2j, 0.95 + 0.4j)
     ws = (0.05 + 0.35j, 0.3 + 0.1j, 0.55 - 0.05j, 0.75 - 0.25j, 0.9 + 0.15j)
-    worst = 0.0
-    for z in zs:
-        for w in ws:
-            kt = reproducing_kernel(z, w, params, path="theta")
-            ks = reproducing_kernel(z, w, params, path="sum")
-            worst = max(worst, abs(kt - ks) / abs(kt))
-    return [VerifyCase("04-kernel-two-path", 0.0, worst, 1e-9)]
+    deviations = (
+        _rel(reproducing_kernel(z, w, params, path="sum"), reproducing_kernel(z, w, params, path="theta"))
+        for z in zs for w in ws
+    )
+    return [_case("04-kernel-two-path", 1e-9, deviations)]
 
 
 def criterion_kernel_reproduces():
@@ -181,36 +176,31 @@ def criterion_kernel_reproduces():
         FockElement.from_psi_coeffs(params, {-3: 1.0j, 1: 0.7, 3: 0.2 - 0.1j}),
     )
     ws = (0.2 + 0.3j, 0.6 - 0.2j, 0.85 + 0.1j)
-    worst = 0.0
-    for elem in elements:
+
+    def pairing(elem, w):
         scheme = StripScheme.centered(params.nu, params.alpha, elem.dominant_index() / 2.0)
-        for w in ws:
-            ip = strip_inner_product(
-                elem.evaluate, lambda z: reproducing_kernel(z, w, params), params.nu, scheme
-            )
-            ref = elem.evaluate(w)
-            worst = max(worst, abs(ip - ref) / abs(ref))
-    return [VerifyCase("05-kernel-reproduces", 0.0, worst, 1e-6)]
+        return strip_inner_product(elem.evaluate, lambda z: reproducing_kernel(z, w, params), params.nu, scheme)
+
+    return [_case("05-kernel-reproduces", 1e-6, (_rel(pairing(f, w), f.evaluate(w)) for f in elements for w in ws))]
 
 
 def criterion_growth_bound():
     """|f(z)| never exceeds ||f|| K(z,z)^(1/2) beyond roundoff margin."""
     rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for params in (BASE_PARAMS, SpaceParams(2.0, -0.25)):
-        for elem in _random_elements(rng, params, 10):
-            norm = elem.norm()
-            for _ in range(5):
-                z = complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
-                margin = abs(elem.evaluate(z)) / (norm * pointwise_bound(z, params)) - 1.0
-                worst = max(worst, margin)
-    return [VerifyCase("06-growth-bound", 0.0, max(worst, 0.0), 1e-9)]
+
+    def margins():
+        for params in (BASE_PARAMS, SpaceParams(2.0, -0.25)):
+            for elem in _random_elements(rng, params, 10):
+                norm = elem.norm()
+                for _ in range(5):
+                    z = complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0))
+                    yield abs(elem.evaluate(z)) / (norm * pointwise_bound(z, params)) - 1.0
+
+    return [_case("06-growth-bound", 1e-9, margins())]
 
 
 def criterion_theta_membership():
     """Membership decisions, the member norm, and divergence certification."""
-    cases = []
-    wrong = 0
     expectations = (
         (SpaceParams(math.pi, 0.3), 2.0j, True),
         (SpaceParams(math.pi, 0.3), 1.2j, True),
@@ -219,99 +209,87 @@ def criterion_theta_membership():
         (SpaceParams(2.0, -0.25), 2.0j, True),
         (SpaceParams(2.0, -0.25), 1.5j, False),
     )
-    for params, tau, expect in expectations:
-        result = theta_membership(ThetaArgs(params.alpha, 0.1, tau), params)
-        if result.in_space != expect:
-            wrong += 1
-    cases.append(VerifyCase("07-membership-decisions", 0.0, float(wrong), 0.0))
+    wrong = sum(theta_membership(ThetaArgs(p.alpha, 0.1, tau), p).in_space != expect for p, tau, expect in expectations)
 
     params = BASE_PARAMS
     targs = ThetaArgs(params.alpha, 0.1, 2.0j)
     closed = theta_membership(targs, params).norm
-    member = theta_member(targs, params)
-    scheme = StripScheme.centered(params.nu, params.alpha, 0)
-    quad = math.sqrt(strip_inner_product(member, member, params.nu, scheme).real)
-    cases.append(VerifyCase("07-membership-norm", 0.0, abs(quad - closed) / closed, 1e-6))
+    quad = _strip_norm(theta_member(targs, params), params, 0)
 
-    certified = 0.0
-    for tau in (1.0j, 0.5j):
+    def uncertified(tau):
         logs = membership_log_partial_sums(ThetaArgs(params.alpha, 0.1, tau), params)
-        if not all(b > a for a, b in zip(logs, logs[1:])):
-            certified = 1.0
-    cases.append(VerifyCase("07-membership-divergence", 0.0, certified, 0.0))
-    return cases
+        return float(not all(b > a for a, b in zip(logs, logs[1:])))
+
+    return [
+        _case("07-membership-decisions", 0.0, [float(wrong)]),
+        _case("07-membership-norm", 1e-6, [_rel(quad, closed)]),
+        _case("07-membership-divergence", 0.0, map(uncertified, (1.0j, 0.5j))),
+    ]
 
 
 def criterion_transform_transport():
     """The line mode phi_n maps to the space mode psi_n under the transform."""
     params = BASE_PARAMS
-    worst = 0.0
-    for n in (-2, -1, 0, 1, 3):
-        for z in (0.2 + 0.1j, 0.8 - 0.4j, 0.5 + 1.0j):
-            value = bargmann_pointwise(lambda q: phi_basis(n, q, params.alpha), z, params)
-            ref = basis_psi(n, z, params)
-            worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
-    return [VerifyCase("08-transform-transport", 0.0, worst, 1e-8)]
+    deviations = (
+        _rel(bargmann_pointwise(lambda q, n=n: phi_basis(n, q, params.alpha), z, params), basis_psi(n, z, params), 1.0)
+        for n in (-2, -1, 0, 1, 3) for z in (0.2 + 0.1j, 0.8 - 0.4j, 0.5 + 1.0j)
+    )
+    return [_case("08-transform-transport", 1e-8, deviations)]
 
 
 def criterion_kernel_equals_generating():
     """Periodized Gaussian kernel equals the bilateral generating series."""
-    worst = 0.0
     qs = (0.0, 0.35, 0.7, 1.05, 1.4)
-    for params in (BASE_PARAMS, SpaceParams(2.0, -0.25), SpaceParams(math.pi, 0.0)):
-        for z in SAMPLE_Z:
-            for q in qs:
-                g = generating_kernel_G(z, q, params)
-                a = bargmann_kernel_A(z, q, params)
-                s = generating_kernel_sum(z, q, params)
-                worst = max(worst, abs(a - g) / abs(g), abs(s - g) / abs(g))
-    return [VerifyCase("09-kernel-equals-generating", 0.0, worst, 1e-9)]
+
+    def deviations():
+        for params in (BASE_PARAMS, SpaceParams(2.0, -0.25), SpaceParams(math.pi, 0.0)):
+            for z in SAMPLE_Z:
+                for q in qs:
+                    g = generating_kernel_G(z, q, params)
+                    yield _rel(bargmann_kernel_A(z, q, params), g)
+                    yield _rel(generating_kernel_sum(z, q, params), g)
+
+    return [_case("09-kernel-equals-generating", 1e-9, deviations())]
 
 
 def criterion_landau_eigenvalues():
-    """Finite-difference eigen-equation residuals across the first levels."""
+    """Finite-difference eigen-equation residuals across the first levels;
+    the null space is the level m = 0 of the same sweep."""
     params = BASE_PARAMS
-    worst = 0.0
-    for m in range(0, 5):
-        for n in range(-2, 3):
-            worst = max(worst, eigen_residual(m, n, params, SAMPLE_Z))
-    null_worst = 0.0
-    for n in range(-2, 3):
-        null_worst = max(null_worst, eigen_residual(0, n, params, SAMPLE_Z))
+    residuals = {(m, n): eigen_residual(m, n, params, SAMPLE_Z) for m in range(0, 5) for n in range(-2, 3)}
     return [
-        VerifyCase("10-landau-eigenvalues", 0.0, worst, 1e-5),
-        VerifyCase("10-landau-null-space", 0.0, null_worst, 1e-6),
+        _case("10-landau-eigenvalues", 1e-5, residuals.values()),
+        _case("10-landau-null-space", 1e-6, (r for (m, _), r in residuals.items() if m == 0)),
     ]
 
 
 def criterion_ladder():
     """Coefficient-level shifts match the analytic ladder actions."""
     params = BASE_PARAMS
-    worst_coeff = 0.0
-    for n in (-2, 0, 1):
-        elem = LandauElement(params, {(0, n): 1.0})
-        for m in range(1, 6):
-            elem = elem.raised()
-            for z in SAMPLE_Z:
-                ref = basis_psi_mn(m, n, z, params)
-                dev = abs(elem.evaluate(z) - ref) / max(1.0, abs(ref))
-                worst_coeff = max(worst_coeff, dev)
 
-    worst_fd = 0.0
-    for n in (-1, 0, 2):
-        for m in range(0, 3):
-            for z in (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j):
-                up = creation_apply(lambda w: basis_psi_mn(m, n, w, params), z, params)
-                ref_up = -1j * math.sqrt(params.nu * (m + 1)) * basis_psi_mn(m + 1, n, z, params)
-                worst_fd = max(worst_fd, abs(up - ref_up) / max(1.0, abs(ref_up)))
-        for m in range(1, 4):
-            for z in (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j):
-                down = annihilation_apply(lambda w: basis_psi_mn(m, n, w, params), z)
-                ref_down = 1j * math.sqrt(params.nu * m) * basis_psi_mn(m - 1, n, z, params)
-                worst_fd = max(worst_fd, abs(down - ref_down) / max(1.0, abs(ref_down)))
+    def coefficient_deviations():
+        for n in (-2, 0, 1):
+            elem = LandauElement(params, {(0, n): 1.0})
+            for m in range(1, 6):
+                elem = elem.raised()
+                for z in SAMPLE_Z:
+                    yield _rel(elem.evaluate(z), basis_psi_mn(m, n, z, params), 1.0)
+
+    def finite_difference_deviations():
+        zs = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j)
+        for n in (-1, 0, 2):
+            for m in range(0, 3):
+                for z in zs:
+                    up = creation_apply(lambda w: basis_psi_mn(m, n, w, params), z, params)
+                    yield _rel(up, -1j * math.sqrt(params.nu * (m + 1)) * basis_psi_mn(m + 1, n, z, params), 1.0)
+            for m in range(1, 4):
+                for z in zs:
+                    down = annihilation_apply(lambda w: basis_psi_mn(m, n, w, params), z)
+                    yield _rel(down, 1j * math.sqrt(params.nu * m) * basis_psi_mn(m - 1, n, z, params), 1.0)
+
     return [
-        VerifyCase("11-ladder-coefficients", 0.0, worst_coeff, 1e-9),
-        VerifyCase("11-ladder-finite-difference", 0.0, worst_fd, 1e-5),
+        _case("11-ladder-coefficients", 1e-9, coefficient_deviations()),
+        _case("11-ladder-finite-difference", 1e-5, finite_difference_deviations()),
     ]
 
 
@@ -319,7 +297,7 @@ def criterion_eigenmode_gram():
     """Quadrature Gram matrix of psi_{m,n} equals the identity."""
     params = BASE_PARAMS
     modes = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m in range(0, 4) for n in range(-2, 3)]
-    return [VerifyCase("12-eigenmode-gram", 0.0, _gram_deviation(modes, params), 1e-7)]
+    return [_case("12-eigenmode-gram", 1e-7, _gram_deviations(modes, params))]
 
 
 def criterion_theta_integral_identity():
@@ -336,9 +314,7 @@ def criterion_theta_integral_identity():
     member_args = ThetaArgs(alpha, beta, tau)
 
     def left_part(w):
-        return riemann_theta(kernel_args, z - np.conj(w)) * riemann_theta(member_args, w) * np.exp(
-            0.5 * nu * w * w
-        )
+        return riemann_theta(kernel_args, z - np.conj(w)) * riemann_theta(member_args, w) * np.exp(0.5 * nu * w * w)
 
     def right_part(w):
         return np.exp(0.5 * nu * w * w)
@@ -346,7 +322,7 @@ def criterion_theta_integral_identity():
     scheme = StripScheme.centered(nu, alpha, 0)
     lhs = strip_inner_product(left_part, right_part, nu, scheme)
     rhs = math.sqrt(math.pi / (2.0 * nu)) * riemann_theta(member_args, z)
-    return [VerifyCase("13-theta-integral-identity", 0.0, abs(lhs - rhs) / abs(rhs), 1e-6)]
+    return [_case("13-theta-integral-identity", 1e-6, [_rel(lhs, rhs)])]
 
 
 def criterion_truncation_soundness():
@@ -354,37 +330,32 @@ def criterion_truncation_soundness():
     params = BASE_PARAMS
     base = TruncationBudget(tol=1e-12)
     tight = TruncationBudget(tol=1e-13)
-    ratios = []
-
     probes = (
         lambda b: riemann_theta(ThetaArgs(0.0, 0.0, 2.0j), 0.3 + 0.2j, b),
         lambda b: riemann_theta(ThetaArgs(0.3, 0.7, 1.5j), 0.1 + 0.05j, b),
         lambda b: reproducing_kernel(0.1 + 0.2j, 0.3 - 0.1j, params, b, path="sum"),
         lambda b: theta_membership(ThetaArgs(params.alpha, 0.1, 2.0j), params, b).norm,
     )
-    for probe in probes:
-        ratios.append(abs(probe(base) - probe(tight)) / base.tol)
-    series_case = VerifyCase("14-series-tail-soundness", 0.0, max(ratios), 1.0)
 
-    quad_ratios = []
-    scheme = StripScheme.centered(params.nu, params.alpha, 0)
-    probes_quad = (
-        (lambda s: strip_inner_product(
-            lambda z: basis_psi(0, z, params), lambda z: basis_psi(1, z, params), params.nu, s
-        ), scheme, 1e-8),
-        (lambda s: strip_inner_product(
-            lambda z: basis_psi(2, z, params), lambda z: basis_psi(2, z, params), params.nu, s
-        ), StripScheme.centered(params.nu, params.alpha, 2), 1e-8),
-    )
-    for probe, sch, tol in probes_quad:
-        quad_ratios.append(abs(probe(sch) - probe(sch.doubled())) / tol)
-    line = LineScheme()
-    lp = lambda s: line_inner_product(
-        lambda q: phi_basis(0, q, params.alpha), lambda q: phi_basis(0, q, params.alpha), s
-    )
-    quad_ratios.append(abs(lp(line) - lp(line.doubled())) / 1e-10)
-    quad_case = VerifyCase("14-quadrature-doubling", 0.0, max(quad_ratios), 1.0)
-    return [series_case, quad_case]
+    def psi(n):
+        return lambda z: basis_psi(n, z, params)
+
+    def phi0(q):
+        return phi_basis(0, q, params.alpha)
+
+    def doubling(inner, scheme, tol):
+        return abs(inner(scheme) - inner(scheme.doubled())) / tol
+
+    return [
+        _case("14-series-tail-soundness", 1.0, (abs(probe(base) - probe(tight)) / base.tol for probe in probes)),
+        _case("14-quadrature-doubling", 1.0, (
+            doubling(lambda s: strip_inner_product(psi(0), psi(1), params.nu, s),
+                     StripScheme.centered(params.nu, params.alpha, 0), 1e-8),
+            doubling(lambda s: strip_inner_product(psi(2), psi(2), params.nu, s),
+                     StripScheme.centered(params.nu, params.alpha, 2), 1e-8),
+            doubling(lambda s: line_inner_product(phi0, phi0, s), LineScheme(), 1e-10),
+        )),
+    ]
 
 
 CRITERIA = (
@@ -411,11 +382,7 @@ def run_acceptance(tol=None):
     if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     start = time.perf_counter()
-    cases = []
-    for criterion in CRITERIA:
-        cases.extend(criterion())
+    cases = [case for criterion in CRITERIA for case in criterion()]
     if tol is not None:
-        cases = [VerifyCase(c.name, c.expected, c.actual, float(tol)) for c in cases]
-    wall = time.perf_counter() - start
-    return VerifyReport("acceptance", tuple(cases), wall)
-
+        cases = [case._replace(tolerance=float(tol)) for case in cases]
+    return VerifyReport("acceptance", cases, time.perf_counter() - start)

@@ -1,8 +1,11 @@
-"""Acceptance gate: one test per release criterion, at pinned tolerances.
+"""Acceptance gate: one test id per release criterion, at pinned tolerances.
 
-Each test runs its criterion from the verification module and prints one
-pass/fail line per criterion (visible with pytest -s or on failure).
+test_criterion runs each entry of verify.CRITERIA, so a criterion added there
+is gated here too, and prints one pass/fail line per case (visible with
+pytest -s or on failure).
 """
+
+import math
 
 import pytest
 
@@ -20,60 +23,17 @@ def _check(cases):
         )
 
 
-def test_criterion_01_orthonormal_basis():
-    _check(verify.criterion_orthonormal_basis())
+@pytest.mark.parametrize("criterion", verify.CRITERIA, ids=lambda criterion: criterion.__name__)
+def test_criterion(criterion):
+    _check(criterion())
 
 
-def test_criterion_02_mode_norm_closed_form():
-    _check(verify.criterion_mode_norm())
-
-
-def test_criterion_03_parseval_norm():
-    _check(verify.criterion_parseval())
-
-
-def test_criterion_04_kernel_two_path():
-    _check(verify.criterion_kernel_two_path())
-
-
-def test_criterion_05_kernel_reproduces():
-    _check(verify.criterion_kernel_reproduces())
-
-
-def test_criterion_06_growth_bound():
-    _check(verify.criterion_growth_bound())
-
-
-def test_criterion_07_theta_membership():
-    _check(verify.criterion_theta_membership())
-
-
-def test_criterion_08_transform_transport():
-    _check(verify.criterion_transform_transport())
-
-
-def test_criterion_09_kernel_equals_generating():
-    _check(verify.criterion_kernel_equals_generating())
-
-
-def test_criterion_10_landau_eigenvalues():
-    _check(verify.criterion_landau_eigenvalues())
-
-
-def test_criterion_11_ladder():
-    _check(verify.criterion_ladder())
-
-
-def test_criterion_12_eigenmode_gram():
-    _check(verify.criterion_eigenmode_gram())
-
-
-def test_criterion_13_theta_integral_identity():
-    _check(verify.criterion_theta_integral_identity())
-
-
-def test_criterion_14_truncation_soundness():
-    _check(verify.criterion_truncation_soundness())
+def test_a_nan_deviation_fails_its_case():
+    for deviations in ([0.1, math.nan, 0.2], [math.nan, 0.1], [0.1, math.nan]):
+        case = verify._case("nan", 1.0, deviations)
+        assert math.isnan(case.actual) and not case.passed
+    assert verify._case("worst", 1.0, [0.1, 0.3, 0.2]).actual == 0.3
+    assert verify._case("clipped", 1.0, [-0.5]).actual == 0.0
 
 
 def test_full_report_consistency():

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -176,6 +178,10 @@ def test_verify_tolerance_sensitivity_split():
     assert not by_name["01-orthonormal-basis"]
     assert by_name["11-ladder-coefficients"]
     assert by_name["07-membership-decisions"]
+    # the override keeps every case and its measured value; only the tolerance changes
+    plain = json.loads(run_ok(["verify", "all"]))["cases"]
+    assert [(c["name"], c["actual"]) for c in payload["cases"]] == [(c["name"], c["actual"]) for c in plain]
+    assert {c["tolerance"] for c in payload["cases"]} == {1e-15}
 
 
 def test_verify_csv_format():
@@ -222,6 +228,16 @@ def test_non_finite_numbers_are_usage_errors(tmp_path):
     for z in ("nan", "1+nani", "nan-2i"):
         code, text = run_command(theta + ["--z", z])
         assert code == 64, text
+    bad_reals = (
+        ("--nu", ["fock", "psi", "--nu", "{}", "--alpha", "0.3", "--n", "1", "--z", "0.2"]),
+        ("--nu", ["bargmann", "forward", "--in", str(elem), "--nu", "{}"]),
+        ("--alpha", ["theta", "eval", "--alpha", "{}", "--beta", "0", "--tau", "2i", "--z", "0.2"]),
+        ("--beta", ["fock", "member", "--nu", "3.14", "--alpha", "0.3", "--beta", "{}", "--tau", "2i"]),
+    )
+    for option, argv in bad_reals:
+        for bad in ("nan", "inf"):
+            code, text = run_command([a.format(bad) for a in argv])
+            assert code == 64 and text.startswith(f"usage error: argument {option}: expected a finite number"), text
 
 
 def test_module_entry_point():
@@ -272,3 +288,29 @@ def test_fock_gram_negative_mlevels_is_usage_error():
     for fmt in ("json", "csv"):
         code, text = run_command(gram + ["--format", fmt])
         assert code == 64 and "--mlevels" in text, text
+
+
+def _parser_leaves():
+    """{(group, leaf): set of --options other than --format and --help} of build_parser's parser."""
+    import argparse
+
+    from thetafock.cli import build_parser
+
+    def choices(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def options(leaf):
+        return {o for a in leaf._actions for o in a.option_strings if o.startswith("--")} - {"--format", "--help"}
+
+    return {(group, name): options(leaf) for group, sub in choices(build_parser()).items()
+            for name, leaf in choices(sub).items()}
+
+
+def test_readme_synopsis_lists_every_leaf_and_option():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = {}
+    for line in readme.splitlines():
+        if line.startswith("thetafock "):
+            _, group, name, rest = line.split(None, 3)
+            synopsis[group, name] = set(re.findall(r"--[a-z]+", rest))
+    assert synopsis == _parser_leaves()

@@ -5,7 +5,8 @@ A Python number takes complex/cmath/math arithmetic; an ndarray takes numpy.
 Both run one copy of each formula, so f(z) must equal f(np.array([z]))[0]
 exactly, and the CLI leaves that evaluate at one point must never execute a
 numpy module.  Those leaves also load no module they do not run: not
-dataclasses, fractions, csv or thetafock.verify.
+dataclasses, fractions, csv or thetafock.verify; and no module of the
+package loads dataclasses at all.
 """
 
 import json
@@ -62,6 +63,14 @@ print(json.dumps({"code": code, "text": text, "numpy": sorted(m for m in sys.mod
                   "unused": sorted({"dataclasses", "fractions", "csv", "thetafock.verify"} & set(sys.modules)),
                   "thetafock": sorted(m for m in sys.modules if m.startswith("thetafock."))}))
 """
+
+
+def test_no_module_loads_dataclasses():
+    # the value types are namedtuples: importing every module (verify imports all but cli) loads no dataclasses
+    code = "import sys, thetafock.verify, thetafock.cli; assert 'dataclasses' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("leaf", sorted(SCALAR_LEAVES))
