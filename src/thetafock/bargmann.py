@@ -55,8 +55,13 @@ class LineElement(_Expansion):
             raise DomainError(f"alpha must be finite, got {alpha}")
         super().__init__(float(alpha), coeffs)
 
-    def _mode(self, n, q):
-        return phi_basis(n, q, self.alpha)
+    def _sum(self, q):
+        """Horner in u = exp(sqrt(2) i pi q), unimodular on the line, times the lowest mode: two exps per point."""
+        b, lo, hi = self.coeff_dict(), self.coeffs[0][0], self.coeffs[-1][0]
+        u, total = _exp(SQRT2 * 1j * math.pi * q), b[hi]
+        for n in range(hi - 1, lo - 1, -1):
+            total = _mul(total, u) + b.get(n, 0j)
+        return _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (lo + self.alpha) * q), total)
 
     def _header(self):
         return {"alpha": self.alpha}

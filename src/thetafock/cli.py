@@ -4,8 +4,8 @@ Subcommands evaluate theta series, space modes and kernels, run the
 Bargmann transform forward and backward on serialized elements, apply the
 Landau operator and its ladder shifts, and execute the acceptance suite.
 Output is JSON by default or CSV with --format csv (complex values flatten
-into paired _re/_im columns).  Complex literals on the command line use
-the form a+bi, spaced from their option or joined to it with '='.  Output
+into paired _re/_im columns).  Complex literals (a+bi) and negative reals
+(-1e-3) are spaced from their option or joined to it with '='.  Output
 is always plain text, so NO_COLOR needs no special handling.  Exit codes:
 0 success, 1 domain or numerical error, 2 verification failure, 64 usage
 error.
@@ -32,15 +32,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_COMPLEX_OPTIONS = ("--tau", "--z", "--w")
+_NUMBER_OPTIONS = ("--alpha", "--beta", "--nu", "--q", "--tol", "--tau", "--z", "--w")
 
 
-def _join_complex_values(argv):
-    """Join a complex-valued option to a following '-'-led value (--z -1+2i
-    becomes --z=-1+2i), which argparse would otherwise read as an option."""
+def _join_number_values(argv):
+    """Join a number-valued option to a following '-'-led value (--z -1+2i becomes
+    --z=-1+2i, --alpha -1e-3 --alpha=-1e-3), which argparse would read as an option."""
     out = []
     for arg in argv:
-        if out and out[-1] in _COMPLEX_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+        if out and out[-1] in _NUMBER_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -296,7 +296,7 @@ def run_command(argv):
     """Execute one subcommand; returns (exit code, textual output)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_complex_values(argv))
+        args = parser.parse_args(_join_number_values(argv))
         code, payload, rows = args.handler(args)
         return code, _to_csv(rows) if args.format == "csv" else json.dumps(payload, indent=2)
     except UsageError as exc:

@@ -33,15 +33,17 @@ exactly when Im tau > pi/nu, with
 The theta forms of K, of the members and of that norm pass their Gaussian
 prefactor to theta._theta_exp as a log, to cancel inside one exponent: K(z,z)
 ~ e^{nu |z|^2} is finite wherever a double holds it, at any nu.  The mode sum
-of K, through core.bilateral_sum, stays the independent oracle.  Modes build
-their normalization inside a single exp call as well.
+of K, through core.bilateral_sum, stays the independent oracle.  A mode
+builds its normalization inside one exp call; a member sum c_n psi_n takes
+one exp per point for all its modes (_psi_sum), checked by basis_psi.
 """
 
 import json
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _reduce, bilateral_sum, character, np
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _quiet, _reduce, _where, bilateral_sum
+from .core import character, np
 from .theta import _theta_value
 
 
@@ -72,10 +74,10 @@ class _Expansion:
     An instance is immutable, with two fields: the space (a SpaceParams
     under "params", or the bare alpha of the line, named by SPACE) and the
     sorted tuple `coeffs` of (key, complex coefficient) pairs; equality and
-    hashing go by the class and both fields.  Each subclass supplies the
-    mode function `_mode(key, z)`, its key fields KEYS, the record header
-    (`_header` / `_space_from`, nu and alpha by default) and `weight(key)` =
-    ||b_k||, so that the norm is the Parseval sum.
+    hashing go by the class and both fields.  Each subclass supplies
+    `_sum(z)`, the whole sum at z in one pass over its modes, its key fields
+    KEYS, the record header (`_header` / `_space_from`, nu and alpha by
+    default) and `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
     Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
     """
 
@@ -115,16 +117,15 @@ class _Expansion:
 
     def evaluate(self, z):
         z = _as_complex(z)
-        total = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
-        for key, c in self.coeffs:
-            total += _mul(c, self._mode(key, z))
+        zero = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
+        total = self._sum(z) if self.coeffs else zero
         return total if isinstance(z, complex) or z.ndim else complex(total)
 
     __call__ = evaluate
 
     def norm(self):
-        """Parseval norm sqrt(sum |c_k|^2 ||b_k||^2)."""
-        return math.sqrt(math.fsum(abs(c) ** 2 * self.weight(k) ** 2 for k, c in self.coeffs))
+        """Parseval norm sqrt(sum (|c_k| ||b_k||)^2): a large ||b_k|| meets its small |c_k| before squaring."""
+        return math.sqrt(math.fsum((abs(c) * self.weight(k)) ** 2 for k, c in self.coeffs))
 
     def _header(self):
         return {"nu": self.params.nu, "alpha": self.params.alpha}
@@ -180,6 +181,54 @@ def basis_psi(n, z, params):
     return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")
 
 
+def _psi_sum(params, lo, hi, z, coeff):
+    """sum over lo <= n <= hi of coeff(n) psi_n(z); coeff(n) is a number, an
+    array over z, or None.
+
+    Each point anchors on its peak mode ns = round(-nu Im z/pi - alpha),
+    clipped into [lo, hi], and takes psi_ns from one exp.  Walking away from
+    it multiplies by g_j v^(+-1), with g_j = exp(-(pi^2/nu)(2j-1)) and
+    v = exp(2 i pi z - (2 pi^2/nu)(ns+alpha)), so |g_j v^(+-1)| <= 1 and every
+    intermediate is a true term.  An ndarray sweeps n up from its lowest
+    anchor and down from its highest, each point joining at its own anchor:
+    each point takes the scalar route's operations.  The walk runs at |psi_ns|
+    clamped into [e^-300, e^600], where terms e^700 below stay normal and none
+    overflows, even where the anchor's mode carries no coefficient.
+    """
+    (nu, alpha), scalar = params, isinstance(z, complex)
+    g1, q = math.exp(-(math.pi**2) / nu), math.exp(-2.0 * math.pi**2 / nu)
+    total = 0j if scalar else np.zeros(z.shape, dtype=complex)
+    with _quiet(z):  # far outside [lo, hi], v or 1/v overflows where the walk never takes it
+        peak = -nu * z.imag / math.pi - alpha
+        ns = round(max(lo, min(hi, peak))) if scalar else np.rint(np.fmax(lo, np.fmin(hi, peak)))
+        c = ns + alpha
+        expo = _mul(0.5 * nu * z + 2j * math.pi * c, z) - (math.pi**2 / nu) * c * c + 0.25 * math.log(2 * nu / math.pi)
+        excess = expo.real - (max(-300.0, min(600.0, expo.real)) if scalar else np.clip(expo.real, -300.0, 600.0))
+        first, last = (ns, ns) if scalar else (int(ns.min(initial=hi)), int(ns.max(initial=lo)))
+        shift = (2.0 * math.pi**2 / nu) * c
+        anchor = _exp(expo - excess)
+        v, u = (_exp(2j * math.pi * z - shift), _exp(shift - 2j * math.pi * z)) if hi > lo else (0j, 0j)
+        shared = {}  # coefficients of the indices that both sweeps visit, taken once
+        for begin, stop, step, ratio in ((first, hi, 1, v), (last - 1, lo, -1, u)):
+            t, f = anchor, g1 * ratio
+            for n in range(begin, stop + step, step):
+                if step < 0 or n != begin:  # the up sweep begins on the anchors, the down sweep one below
+                    t, f = _mul(t, f), f * q
+                mixed = first <= n <= last  # some points anchor here or have not yet joined
+                if mixed:
+                    at = ns == n
+                    t, f = _where(at, anchor, t), _where(at, g1 * ratio, f)
+                cn = shared.pop(n) if n in shared else coeff(n)
+                if step > 0 and n < last:
+                    shared[n] = cn
+                if cn is not None:
+                    term = _mul(cn, t)
+                    total = total + (_where(ns <= n if step > 0 else ns > n, term, 0j) if mixed else term)
+        if (excess if scalar else np.abs(excess).max(initial=0.0)) != 0.0:
+            total = _mul(total, _exp(excess + 0j))  # the clamped part of |psi_ns|
+    return _finite(total, "element value")
+
+
 class FockElement(_Expansion):
     """Finite linear combination sum a_n e_n in the quasi-periodic space.
 
@@ -187,8 +236,8 @@ class FockElement(_Expansion):
     from_psi_coeffs / psi_coeffs for the orthonormal convention.
     """
 
-    def _mode(self, n, z):
-        return basis_e(n, z, self.params)
+    def _sum(self, z):
+        return _psi_sum(self.params, self.coeffs[0][0], self.coeffs[-1][0], z, self.psi_coeffs().get)
 
     def weight(self, n):
         return e_norm(n, self.params)
@@ -199,8 +248,12 @@ class FockElement(_Expansion):
         return cls(params, {n: complex(c) / e_norm(n, params) for n, c in dict(coeffs).items()})
 
     def psi_coeffs(self):
-        """Coefficients against psi_n: c_n = a_n * ||e_n||."""
-        return {n: a * self.weight(n) for n, a in self.coeffs}
+        """Coefficients against psi_n: c_n = a_n * ||e_n||, with the exponential
+        of ||e_n|| taken in two halves, so that c_n is finite wherever it fits a
+        double, even where ||e_n|| itself does not."""
+        nu, alpha = self.params
+        halves = {n: math.exp(0.5 * math.pi**2 / nu * (n + alpha) ** 2) for n, _ in self.coeffs}
+        return {n: a * halves[n] * ((math.pi / (2.0 * nu)) ** 0.25 * halves[n]) for n, a in self.coeffs}
 
     def dominant_index(self):
         """Mode index carrying the largest orthonormal coefficient."""

@@ -157,3 +157,28 @@ def test_line_element_validation():
         LineElement(math.nan, {0: 1.0})
     with pytest.raises(DomainError):
         LineElement.from_dict({"coeffs": []})
+
+
+def test_line_element_sum_matches_per_mode_sum():
+    # 1 to 40 modes with gaps; q over three periods of the line, where Horner in the unimodular
+    # exp(sqrt(2) i pi q) stays within rounding of the per-mode sum
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        alpha = float(rng.uniform(-0.5, 0.5))
+        pool = np.arange(-30, 31)
+        ns = sorted(int(n) for n in rng.choice(pool, int(rng.integers(1, 41)), replace=False))
+        coeffs = dict(zip(ns, rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))))
+        q = rng.uniform(-SQRT2, 2.0 * SQRT2, 50)
+        values = LineElement(alpha, coeffs).evaluate(q)
+        for x, value in zip(q, values):
+            terms = [b * phi_basis(n, float(x), alpha) for n, b in coeffs.items()]
+            assert abs(value - sum(terms)) <= 1e-12 * math.fsum(abs(t) for t in terms)
+
+
+def test_line_element_value_depends_on_its_point_only():
+    rng = np.random.default_rng(3)
+    elem = LineElement(0.2, {n: complex(*rng.standard_normal(2)) for n in (-7, -2, 0, 1, 5, 9)})
+    q = rng.uniform(-1.0, 3.0, 200)
+    whole = elem.evaluate(q)
+    for i in range(q.size):
+        assert whole[i] == elem.evaluate(q[i : i + 1])[0] == elem.evaluate(float(q[i]))

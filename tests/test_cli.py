@@ -45,6 +45,35 @@ def test_negative_complex_values_spaced_or_joined():
     assert spaced == run_ok(theta + ["--tau=-0.1+1i", "--z=-0.5+0.1i"])
     kernel = ["fock", "kernel", "--nu", "3.14", "--alpha", "0.3", "--z", "0.5"]
     assert run_ok(kernel + ["--w", "-2i"]) == run_ok(kernel + ["--w=-2i"])
+    psi = ["fock", "psi", "--nu", "2", "--alpha", "0.3", "--z", "0.1"]
+    assert run_ok(psi + ["--n", "-3"]) == run_ok(psi + ["--n=-3"])
+
+
+_THETA = ["theta", "eval", "--alpha", "0.3", "--beta", "0.1", "--tau", "0.2+0.7i", "--z", "0.3+0.2i"]
+# option -> (its leaf's argv without it, a '-'-led value in exponent form)
+_NEGATIVE_VALUES = {
+    "--alpha": (_THETA[:2] + _THETA[4:], "-1e-3"),
+    "--beta": (_THETA[:4] + _THETA[6:], "-2.5e-1"),
+    "--nu": (["fock", "psi", "--alpha", "0.3", "--n", "1", "--z", "0.1"], "-inf"),
+    "--q": (["bargmann", "inverse", "--in", "{fock}"], "-1e-1"),
+    "--tol": (_THETA, "-1e-3"),
+    "--tau": (_THETA[:6] + _THETA[8:], "-1e-1+7e-1i"),
+    "--z": (["fock", "psi", "--nu", "2", "--alpha", "0.3", "--n", "1"], "-1e-3-2e-1i"),
+    "--w": (["fock", "kernel", "--nu", "2", "--alpha", "0.3", "--z", "0.1"], "-1e-3+2e-1i"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_NEGATIVE_VALUES))
+def test_negative_numbers_spaced_or_joined(option, tmp_path):
+    fock = tmp_path / "fock.json"
+    fock.write_text(FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {0: 1.0, 1: 0.5j}).to_json())
+    argv, value = _NEGATIVE_VALUES[option]
+    argv = [a.format(fock=fock) for a in argv]
+    spaced, joined = run_command(argv + [option, value]), run_command(argv + [f"{option}={value}"])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[1]
+    if option in ("--nu", "--tol"):
+        assert spaced[0] == 64  # -inf and a negative tolerance are usage errors, read as values
 
 
 def test_theta_eval_known_value():
@@ -176,11 +205,12 @@ def test_verify_tolerance_sensitivity_split():
     by_name = {case["name"]: case["pass"] for case in payload["cases"]}
     # quadrature-backed cases cannot reach 1e-15; exact bookkeeping can
     assert not by_name["01-orthonormal-basis"]
-    assert by_name["11-ladder-coefficients"]
     assert by_name["07-membership-decisions"]
     # the override keeps every case and its measured value; only the tolerance changes
     plain = json.loads(run_ok(["verify", "all"]))["cases"]
     assert [(c["name"], c["actual"]) for c in payload["cases"]] == [(c["name"], c["actual"]) for c in plain]
+    # the one-pass element sum and the single-mode psi_{m,n} are two computations that agree to rounding
+    assert {c["name"]: c["actual"] for c in plain}["11-ladder-coefficients"] <= 1e-14
     assert {c["tolerance"] for c in payload["cases"]} == {1e-15}
 
 

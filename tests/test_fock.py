@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +292,82 @@ def test_membership_character_mismatch():
 def test_dominant_index():
     elem = FockElement.from_psi_coeffs(PARAMS, {-3: 1.0j, 1: 0.7, 3: 0.2 - 0.1j})
     assert elem.dominant_index() == -3
+
+
+def _sparse(rng, lo, hi):
+    """1 to 40 distinct indices of lo..hi, so that the index set has gaps."""
+    pool = np.arange(lo, hi + 1)
+    return sorted(int(n) for n in rng.choice(pool, int(rng.integers(1, min(40, pool.size) + 1)), replace=False))
+
+
+def _rounding(params, z, c):
+    """Relative rounding of a mode at z whose |n + alpha| <= c: the exponent is
+    formed from terms as large as S = (nu/2)|z|^2 + 2 pi c |z| + (pi^2/nu) c^2,
+    so either side carries about eps * S, beyond 1e-12 once |z| is large."""
+    size = 0.5 * params.nu * abs(z) ** 2 + 2.0 * math.pi * c * abs(z) + math.pi**2 / params.nu * c * c
+    return 4.0 * np.finfo(float).eps * size
+
+
+def test_element_sum_matches_per_mode_sum():
+    # Indices where ||e_n|| stays finite, Im z out past where the terms underflow.
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(40):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.1), math.log(50.0)))), float(rng.uniform(-0.5, 0.5)))
+        reach = math.sqrt(700.0 * params.nu) / math.pi
+        ns = _sparse(rng, math.ceil(-params.alpha - reach), math.floor(-params.alpha + reach))
+        coeffs = dict(zip(ns, rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))))
+        elem = FockElement.from_psi_coeffs(params, coeffs)
+        c = max(abs(n + params.alpha) for n in ns)
+        ylim = 3.0 * math.pi * (reach + 1.0) / params.nu
+        zs, refs = [], []
+        for z in rng.uniform(0.0, 1.0, 50) + 1j * rng.uniform(-ylim, ylim, 50):
+            try:
+                terms = [a * basis_psi(n, complex(z), params) for n, a in coeffs.items()]
+            except OverflowError:
+                continue
+            scale = math.fsum(abs(t) for t in terms)
+            if 1e-280 < scale < math.inf:  # the tolerance is relative: no subnormal sums
+                zs.append(z)
+                refs.append((sum(terms), scale * (1e-12 + _rounding(params, z, c))))
+        values = elem.evaluate(np.array(zs))  # finite wherever every term is
+        for value, (ref, tol) in zip(values, refs):
+            assert abs(value - ref) <= tol, (params, ns, value, ref)
+        checked += len(zs)
+    assert checked > 1500
+
+
+def test_element_value_depends_on_its_point_only():
+    rng = np.random.default_rng(5)
+    params = SpaceParams(math.pi, 0.0)  # the peak -nu Im z/pi - alpha is Im z' negative
+    elem = FockElement.from_psi_coeffs(params, {n: complex(*rng.standard_normal(2)) for n in (-6, -3, -2, 0, 1, 4)})
+    ties = rng.uniform(0.0, 1.0, 16) - 1j * (np.arange(-8, 8) + 0.5)
+    z = np.concatenate([ties, rng.uniform(0.0, 1.0, 200) + 1j * rng.uniform(-9.0, 9.0, 200)])
+    peak = -params.nu * z.imag / math.pi - params.alpha
+    assert np.count_nonzero(peak % 1.0 == 0.5) >= 8  # ties round half to even on both routes
+    whole = elem.evaluate(z)
+    for i in range(z.size):
+        assert whole[i] == elem.evaluate(z[i : i + 1])[0] == elem.evaluate(complex(z[i]))
+
+
+def test_element_past_the_range_of_e_n():
+    # e_16(0.3 - 10i) overflows a double, while each psi_n term and the sum are finite.
+    params = SpaceParams(6.0, 0.3)
+    z = 0.3 - 10j
+    value = FockElement.from_psi_coeffs(params, dict.fromkeys(range(-20, 20), 1.0)).evaluate(z)
+    with mp.workdps(30):
+        nu, w = mp.mpf(params.nu), mp.mpc(z.real, z.imag)
+        cs = [n + mp.mpf(params.alpha) for n in range(-20, 20)]
+        terms = [mp.exp(nu / 2 * w * w + 2j * mp.pi * c * w - mp.pi**2 / nu * c * c) for c in cs]
+        ref = complex((2 * nu / mp.pi) ** 0.25 * mp.fsum(terms))
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    assert value == pytest.approx(2.0791508e130 - 2.3735034e130j, rel=1e-7)
+    # ||e_6|| ~ e^783 overflows at nu = 0.5, while a_6 ||e_6|| and a_6 e_6(z) do not
+    params = SpaceParams(0.5, 0.3)
+    ref = 1e-300 * (basis_e(0, z, params) + basis_e(6, z, params))
+    assert abs(FockElement(params, {0: 1e-300, 6: 1e-300}).evaluate(z) - ref) <= 1e-12 * abs(ref)
+
+
+def test_norm_forms_each_product_before_squaring():
+    # ||e_5||^2 ~ e^554 overflows; |a_5| ||e_5|| = 1 does not
+    assert FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {5: 1.0}).norm() == pytest.approx(1.0, rel=1e-14)

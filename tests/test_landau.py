@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from thetafock.core import DomainError, EvaluationError
+from thetafock.core import DomainError, EvaluationError, hermite_poly
 from thetafock.fock import SpaceParams, basis_psi
 from thetafock.landau import (
     OFFSETS,
@@ -163,7 +163,8 @@ def test_repeated_raise_matches_eigenmode():
     for _ in range(4):
         elem = elem.raised()
     for z in POINTS:
-        assert elem.evaluate(z) == basis_psi_mn(4, 1, z, PARAMS)
+        ref = basis_psi_mn(4, 1, z, PARAMS)
+        assert abs(elem.evaluate(z) - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 def test_norm_and_projection_pythagoras():
@@ -197,3 +198,58 @@ def test_eigenmode_gram_subset():
     fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, PARAMS)) for m, n in modes]
     gram = strip_gram(fs, PARAMS.nu, PARAMS.alpha)
     assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-7
+
+
+def test_element_sum_matches_per_mode_sum():
+    # nu log-uniform in [0.1, 50], levels up to MAX_LEVEL = 40, Fourier indices with gaps,
+    # Im z out to where the per-mode terms stop being finite.
+    rng = np.random.default_rng(17)
+    eps, checked = np.finfo(float).eps, 0
+    for _ in range(40):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.1), math.log(50.0)))), float(rng.uniform(-0.5, 0.5)))
+        count = int(rng.integers(1, 41))
+        keys = {(int(m), int(n)) for m, n in zip(rng.integers(0, 41, count), rng.integers(-12, 13, count))}
+        coeffs = dict(zip(sorted(keys), rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))))
+        elem = LandauElement(params, coeffs)
+        c = max(abs(n + params.alpha) for _, n in keys)
+        ylim = math.sqrt(1600.0 / params.nu) + 13.0 * math.pi / params.nu
+        zs, refs = [], []
+        for z in rng.uniform(0.0, 1.0, 40) + 1j * rng.uniform(-ylim, ylim, 40):
+            try:
+                terms = [a * basis_psi_mn(m, n, complex(z), params) for (m, n), a in coeffs.items()]
+            except OverflowError:
+                continue
+            scale = math.fsum(abs(t) for t in terms)
+            # basis_psi_mn is exp(...) * H_m(xi): a term it forms from a subnormal exp is no reference
+            xis = [math.sqrt(2.0 * params.nu) * z.imag + math.sqrt(2.0 / params.nu) * math.pi * (n + params.alpha)
+                   for _, n in coeffs]
+            if scale < math.inf and all(abs(t) < 1e-16 * scale or abs(t) >= 1e-300 * abs(a * hermite_poly(m, xi))
+                                        for t, ((m, _), a), xi in zip(terms, coeffs.items(), xis)):
+                # exponent terms as large as S carry a rounding of eps * S on either side (see test_fock)
+                size = 0.5 * params.nu * abs(z) ** 2 + 2.0 * math.pi * c * abs(z) + math.pi**2 / params.nu * c * c
+                zs.append(z)
+                refs.append((sum(terms), scale * (1e-12 + 4.0 * eps * size)))
+        values = elem.evaluate(np.array(zs))  # finite wherever every term is
+        for value, (ref, tol) in zip(values, refs):
+            assert abs(value - ref) <= tol, (params, value, ref)
+        checked += len(zs)
+    assert checked > 600
+
+
+def test_element_value_depends_on_its_point_only():
+    rng = np.random.default_rng(8)
+    params = SpaceParams(math.pi, 0.0)
+    keys = [(0, -4), (3, -4), (40, -1), (1, 0), (7, 0), (2, 3)]
+    elem = LandauElement(params, {k: complex(*rng.standard_normal(2)) for k in keys})
+    z = np.concatenate([rng.uniform(0.0, 1.0, 8) - 1j * (np.arange(-4, 4) + 0.5),
+                        rng.uniform(0.0, 1.0, 200) + 1j * rng.uniform(-6.0, 6.0, 200)])
+    whole = elem.evaluate(z)
+    for i in range(z.size):
+        assert whole[i] == elem.evaluate(z[i : i + 1])[0] == elem.evaluate(complex(z[i]))
+
+
+def test_element_above_max_level_raises():
+    elem = LandauElement(PARAMS, {(0, 0): 1.0, (40, 1): 1.0})
+    elem.evaluate(0.3 + 0.1j)
+    with pytest.raises(DomainError):
+        elem.raised().evaluate(0.3 + 0.1j)

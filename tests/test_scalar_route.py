@@ -73,6 +73,30 @@ def test_no_module_loads_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_array_evaluation_loads_no_numpy_ma(tmp_path):
+    # np.unique and its kin import numpy.ma (~14 ms) on first use; no element sum or array leaf needs them
+    fock = tmp_path / "fock.json"
+    fock.write_text(FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {-1: 0.5, 0: 1.0, 2: 0.3j}).to_json())
+    code = f"""
+import sys, numpy as np
+from thetafock.bargmann import LineElement
+from thetafock.cli import run_command
+from thetafock.fock import FockElement, SpaceParams
+from thetafock.landau import LandauElement
+z = np.linspace(-1.0, 1.0, 64) * (1 + 2j)
+p = SpaceParams(2.0, 0.3)
+FockElement.from_psi_coeffs(p, {{-2: 1.0, 0: 0.5j, 3: 0.2}}).evaluate(z)
+LandauElement(p, {{(0, -1): 1.0, (3, 0): 0.5j, (7, 2): 0.1}}).evaluate(z)
+LineElement(0.3, {{-4: 1.0, 0: 0.5j, 5: 0.2}}).evaluate(z.real)
+assert run_command(["bargmann", "inverse", "--in", {str(fock)!r}, "--q", "0.4"])[0] == 0
+assert run_command(["fock", "gram", "--nu", "2", "--alpha", "0.3", "--nmin", "-2", "--nmax", "2"])[0] == 0
+assert "numpy.ma" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("leaf", sorted(SCALAR_LEAVES))
 def test_scalar_leaf_executes_no_numpy(leaf, tmp_path):
     files = {"line": tmp_path / "line.json", "landau": tmp_path / "landau.json", "out": tmp_path / "out.json"}
