@@ -196,9 +196,9 @@ def _psi_sum(params, lo, hi, z, coeff):
     overflows, even where the anchor's mode carries no coefficient.
     """
     (nu, alpha), scalar = params, isinstance(z, complex)
-    g1, q = math.exp(-(math.pi**2) / nu), math.exp(-2.0 * math.pi**2 / nu)
+    q, log_g1 = math.exp(-2.0 * math.pi**2 / nu), -(math.pi**2) / nu
     total = 0j if scalar else np.zeros(z.shape, dtype=complex)
-    with _quiet(z):  # far outside [lo, hi], v or 1/v overflows where the walk never takes it
+    with _quiet(z):  # far outside [lo, hi], a first step overflows where the walk never takes it
         peak = -nu * z.imag / math.pi - alpha
         ns = round(max(lo, min(hi, peak))) if scalar else np.rint(np.fmax(lo, np.fmin(hi, peak)))
         c = ns + alpha
@@ -207,17 +207,19 @@ def _psi_sum(params, lo, hi, z, coeff):
         first, last = (ns, ns) if scalar else (int(ns.min(initial=hi)), int(ns.max(initial=lo)))
         shift = (2.0 * math.pi**2 / nu) * c
         anchor = _exp(expo - excess)
-        v, u = (_exp(2j * math.pi * z - shift), _exp(shift - 2j * math.pi * z)) if hi > lo else (0j, 0j)
+        # the first steps g_1 v and g_1 / v take one exp each: g_1 alone underflows for nu < pi^2/745
+        log_v = 2j * math.pi * z - shift
+        up, down = (_exp(log_v + log_g1), _exp(log_g1 - log_v)) if hi > lo else (0j, 0j)
         shared = {}  # coefficients of the indices that both sweeps visit, taken once
-        for begin, stop, step, ratio in ((first, hi, 1, v), (last - 1, lo, -1, u)):
-            t, f = anchor, g1 * ratio
+        for begin, stop, step, f0 in ((first, hi, 1, up), (last - 1, lo, -1, down)):
+            t, f = anchor, f0
             for n in range(begin, stop + step, step):
                 if step < 0 or n != begin:  # the up sweep begins on the anchors, the down sweep one below
                     t, f = _mul(t, f), f * q
                 mixed = first <= n <= last  # some points anchor here or have not yet joined
                 if mixed:
                     at = ns == n
-                    t, f = _where(at, anchor, t), _where(at, g1 * ratio, f)
+                    t, f = _where(at, anchor, t), _where(at, f0, f)
                 cn = shared.pop(n) if n in shared else coeff(n)
                 if step > 0 and n < last:
                     shared[n] = cn

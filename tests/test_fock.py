@@ -368,6 +368,17 @@ def test_element_past_the_range_of_e_n():
     assert abs(FockElement(params, {0: 1e-300, 6: 1e-300}).evaluate(z) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("nu", [0.008, 0.01, 0.012])
+def test_element_sum_where_the_step_constant_underflows(nu):
+    # exp(-pi^2/nu) underflows below nu = pi^2/745, while psi_{n+1}/psi_n stays near 1 midway between two peaks
+    params = SpaceParams(nu, 0.3)
+    elem = FockElement.from_psi_coeffs(params, {-1: 1.0, 0: 0.5j})
+    for peak in np.linspace(-0.7, 0.3, 21):
+        z = complex(0.3, -math.pi * (peak + params.alpha) / nu)
+        terms = [basis_psi(-1, z, params), 0.5j * basis_psi(0, z, params)]
+        assert abs(elem.evaluate(z) - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+
 def test_norm_forms_each_product_before_squaring():
     # ||e_5||^2 ~ e^554 overflows; |a_5| ||e_5|| = 1 does not
     assert FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {5: 1.0}).norm() == pytest.approx(1.0, rel=1e-14)
