@@ -55,13 +55,15 @@ class LineElement(_Expansion):
             raise DomainError(f"alpha must be finite, got {alpha}")
         super().__init__(float(alpha), coeffs)
 
-    def _sum(self, q):
-        """Horner in u = exp(sqrt(2) i pi q), unimodular on the line, times the lowest mode: two exps per point."""
-        b, lo, hi = self.coeff_dict(), self.coeffs[0][0], self.coeffs[-1][0]
-        u, total = _exp(SQRT2 * 1j * math.pi * q), b[hi]
-        for n in range(hi - 1, lo - 1, -1):
-            total = _mul(total, u) + b.get(n, 0j)
-        return _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (lo + self.alpha) * q), total)
+    def _parts(self, q):
+        """Horner in u^d = exp(sqrt(2) i pi d q), unimodular on the line, one exp per distinct gap d."""
+        (top, total), powers = self.coeffs[-1], {}
+        for n, b in self.coeffs[-2::-1]:
+            d, top = top - n, n
+            if d not in powers:
+                powers[d] = _exp(SQRT2 * 1j * math.pi * d * q)
+            total = _mul(total, powers[d]) + b
+        yield _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (top + self.alpha) * q), total)
 
     def _header(self):
         return {"alpha": self.alpha}

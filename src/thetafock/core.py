@@ -149,10 +149,6 @@ def _reduce(name, x):
     return x if isinstance(x, float) else float(getattr(np, name)(x))
 
 
-def _where(cond, a, b):  # a where cond holds, else b: one Python bool (scalar route) or np.where
-    return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
-
-
 def _finite(vals, what):
     """vals as a complex scalar (also for a 0-d array) or complex ndarray; raises
     OverflowError naming `what` if any entry left the double range (inf or nan)."""

@@ -34,15 +34,15 @@ The theta forms of K, of the members and of that norm pass their Gaussian
 prefactor to theta._theta_exp as a log, to cancel inside one exponent: K(z,z)
 ~ e^{nu |z|^2} is finite wherever a double holds it, at any nu.  The mode sum
 of K, through core.bilateral_sum, stays the independent oracle.  A mode
-builds its normalization inside one exp call; a member sum c_n psi_n takes
-one exp per point for all its modes (_psi_sum), checked by basis_psi.
+builds its normalization inside one exp call, a member sum (_psi_sum) takes
+one exp per point for all its modes.
 """
 
 import json
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _quiet, _reduce, _where, bilateral_sum
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _quiet, _reduce, bilateral_sum
 from .core import character, np
 from .theta import _theta_value
 
@@ -75,9 +75,9 @@ class _Expansion:
     under "params", or the bare alpha of the line, named by SPACE) and the
     sorted tuple `coeffs` of (key, complex coefficient) pairs; equality and
     hashing go by the class and both fields.  Each subclass supplies
-    `_sum(z)`, the whole sum at z in one pass over its modes, its key fields
-    KEYS, the record header (`_header` / `_space_from`, nu and alpha by
-    default) and `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
+    `_parts(z)`, the sum at z as a few partial sums, its key fields KEYS, the
+    record header (`_header` / `_space_from`, nu and alpha by default) and
+    `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
     Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
     """
 
@@ -118,7 +118,7 @@ class _Expansion:
     def evaluate(self, z):
         z = _as_complex(z)
         zero = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
-        total = self._sum(z) if self.coeffs else zero
+        total = sum(self._parts(z) if self.coeffs else (), zero)
         return total if isinstance(z, complex) or z.ndim else complex(total)
 
     __call__ = evaluate
@@ -181,54 +181,57 @@ def basis_psi(n, z, params):
     return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")
 
 
-def _psi_sum(params, lo, hi, z, coeff):
-    """sum over lo <= n <= hi of coeff(n) psi_n(z); coeff(n) is a number, an
-    array over z, or None.
+def _psi_sum(params, keys, z, coeff, scale):
+    """sum over the ascending `keys` of coeff(n, z) e^scale psi_n(z), coeff(n, z) a number or an array over z.
 
-    Each point anchors on its peak mode ns = round(-nu Im z/pi - alpha),
-    clipped into [lo, hi], and takes psi_ns from one exp.  Walking away from
-    it multiplies by g_j v^(+-1), with g_j = exp(-(pi^2/nu)(2j-1)) and
-    v = exp(2 i pi z - (2 pi^2/nu)(ns+alpha)), so |g_j v^(+-1)| <= 1 and every
-    intermediate is a true term.  An ndarray sweeps n up from its lowest
-    anchor and down from its highest, each point joining at its own anchor:
-    each point takes the scalar route's operations.  The walk runs at |psi_ns|
-    clamped into [e^-300, e^600], where terms e^700 below stay normal and none
-    overflows, even where the anchor's mode carries no coefficient.
+    A point anchors on the key nearest its peak mode -nu Im z/pi - alpha, takes psi there from one exp
+    and walks outward: by f = psi_{n+-1}/psi_n from one exp, f q (q = exp(-2 pi^2/nu)) at each further
+    index, one exp across a gap.  Each factor has modulus <= 1, so each intermediate is a true term.  The
+    walk runs at e^scale |psi| on the anchor clamped into [e^-100, e^400]: terms with |coeff| > e^-300 stay
+    normal and none overflows.  An ndarray is sorted by anchor, so that the upward sweep works on a prefix
+    and the downward one on a suffix; each point takes the scalar route's operations.
     """
-    (nu, alpha), scalar = params, isinstance(z, complex)
-    q, log_g1 = math.exp(-2.0 * math.pi**2 / nu), -(math.pi**2) / nu
-    total = 0j if scalar else np.zeros(z.shape, dtype=complex)
-    with _quiet(z):  # far outside [lo, hi], a first step overflows where the walk never takes it
-        peak = -nu * z.imag / math.pi - alpha
-        ns = round(max(lo, min(hi, peak))) if scalar else np.rint(np.fmax(lo, np.fmin(hi, peak)))
-        c = ns + alpha
-        expo = _mul(0.5 * nu * z + 2j * math.pi * c, z) - (math.pi**2 / nu) * c * c + 0.25 * math.log(2 * nu / math.pi)
-        excess = expo.real - (max(-300.0, min(600.0, expo.real)) if scalar else np.clip(expo.real, -300.0, 600.0))
-        first, last = (ns, ns) if scalar else (int(ns.min(initial=hi)), int(ns.max(initial=lo)))
-        shift = (2.0 * math.pi**2 / nu) * c
-        anchor = _exp(expo - excess)
-        # the first steps g_1 v and g_1 / v take one exp each: g_1 alone underflows for nu < pi^2/745
-        log_v = 2j * math.pi * z - shift
-        up, down = (_exp(log_v + log_g1), _exp(log_g1 - log_v)) if hi > lo else (0j, 0j)
-        shared = {}  # coefficients of the indices that both sweeps visit, taken once
-        for begin, stop, step, f0 in ((first, hi, 1, up), (last - 1, lo, -1, down)):
-            t, f = anchor, f0
-            for n in range(begin, stop + step, step):
-                if step < 0 or n != begin:  # the up sweep begins on the anchors, the down sweep one below
-                    t, f = _mul(t, f), f * q
-                mixed = first <= n <= last  # some points anchor here or have not yet joined
-                if mixed:
-                    at = ns == n
-                    t, f = _where(at, anchor, t), _where(at, f0, f)
-                cn = shared.pop(n) if n in shared else coeff(n)
-                if step > 0 and n < last:
-                    shared[n] = cn
-                if cn is not None:
-                    term = _mul(cn, t)
-                    total = total + (_where(ns <= n if step > 0 else ns > n, term, 0j) if mixed else term)
-        if (excess if scalar else np.abs(excess).max(initial=0.0)) != 0.0:
-            total = _mul(total, _exp(excess + 0j))  # the clamped part of |psi_ns|
-    return _finite(total, "element value")
+    (nu, alpha), scalar, count = params, isinstance(z, complex), len(keys)
+    a2, mids = math.pi**2 / nu, [(a + b) / 2.0 for a, b in zip(keys, keys[1:])]
+    cut = (lambda x, a, b: x) if scalar else (lambda x, a, b: x[a:b])  # a Python complex is its one point
+    put = (lambda x, a, b, v: v) if scalar else (lambda x, a, b, v: x.__setitem__(slice(a, b), v) or x)
+    with _quiet(z):  # non-finite values are reported by _finite below
+        if scalar:
+            at = sum(m < -nu * z.imag / math.pi - alpha for m in mids)
+            ends, size, c = [int(at <= k) for k in range(count)], 1, keys[at] + alpha
+        else:
+            shape, z = z.shape, z.ravel()
+            at = np.searchsorted(mids, -nu * z.imag / math.pi - alpha)
+            order = np.argsort(at.astype(np.min_scalar_type(count)), kind="stable")  # a radix sort
+            z, at, size = z[order], at[order], z.size
+            ends, c = np.searchsorted(at, range(count), side="right").tolist(), np.asarray(keys, float)[at] + alpha
+        expo = _mul(0.5 * nu * z + 2j * math.pi * c, z) - a2 * c * c + (0.25 * math.log(2.0 * nu / math.pi) + scale)
+        over = expo.real - (max(-100.0, min(400.0, expo.real)) if scalar else np.clip(expo.real, -100.0, 400.0))
+        anchor, q, base = _exp(expo - over), math.exp(-2.0 * a2), 2j * math.pi * z
+        total = 0j if scalar else np.zeros_like(anchor)
+        for sgn, log_w in ((1, base), (-1, -base)):  # log_w - shift = log psi_{n+-1}/psi_n
+            t, f, fresh = anchor if scalar or sgn < 0 else anchor.copy(), 0j if scalar else np.empty_like(anchor), True
+            for k in range(count)[::sgn]:
+                lo, hi = ends[k - 1] if k else 0, ends[k]  # the points anchored at key k
+                a, b, s = (0, hi, 0) if sgn > 0 else (lo, size, hi)  # walked to key k; from s on, add its term
+                if s < b:
+                    total = put(total, s, b, cut(total, s, b) + _mul(coeff(keys[k], cut(z, s, b)), cut(t, s, b)))
+                if a == b or not 0 <= k + sgn < count:
+                    continue
+                d, shift = abs(keys[k + sgn] - keys[k]), sgn * 2.0 * a2 * (keys[k] + alpha) + a2
+                if d == 1 and (fresh or lo < hi):  # f from one exp on a point's anchor and after a gap
+                    lo, hi = (a, b) if fresh else (lo, hi)
+                    f = put(f, lo, hi, _exp(cut(log_w, lo, hi) - shift))
+                step = cut(f, a, b) if d == 1 else _exp(d * (cut(log_w, a, b) - shift) - a2 * d * (d - 1))
+                t, f, fresh = put(t, a, b, _mul(cut(t, a, b), step)), put(f, a, b, step * q) if d == 1 else f, d > 1
+        if (over != 0.0) if scalar else np.any(over):
+            total = _mul(total, _exp(over + 0j))  # the clamped part of e^scale |psi| on the anchor
+    total = _finite(total, "element value")
+    if scalar:
+        return total
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape(shape)
 
 
 class FockElement(_Expansion):
@@ -238,8 +241,18 @@ class FockElement(_Expansion):
     from_psi_coeffs / psi_coeffs for the orthonormal convention.
     """
 
-    def _sum(self, z):
-        return _psi_sum(self.params, self.coeffs[0][0], self.coeffs[-1][0], z, self.psi_coeffs().get)
+    def _parts(self, z):
+        """sum a_n e_n(z) = sum c_n psi_n(z), c_n = a_n ||e_n||, by bands in log space: a band holds the
+        modes whose log|c_n| lies within 300 of its largest, top, so no c_n need fit a double."""
+        nu, alpha = self.params
+        logs = {n: math.log(abs(a)) + 0.25 * math.log(math.pi / (2.0 * nu)) + math.pi**2 / nu * (n + alpha) ** 2
+                for n, a in self.coeffs if a}
+        while logs:
+            top = max(logs.values())
+            band = {n: a / abs(a) * math.exp(logs[n] - top)
+                    for n, a in self.coeffs if logs.get(n, -math.inf) > top - 300.0}
+            logs = {n: v for n, v in logs.items() if n not in band}
+            yield _psi_sum(self.params, sorted(band), z, lambda n, z, band=band: band[n], top)
 
     def weight(self, n):
         return e_norm(n, self.params)
@@ -250,12 +263,8 @@ class FockElement(_Expansion):
         return cls(params, {n: complex(c) / e_norm(n, params) for n, c in dict(coeffs).items()})
 
     def psi_coeffs(self):
-        """Coefficients against psi_n: c_n = a_n * ||e_n||, with the exponential
-        of ||e_n|| taken in two halves, so that c_n is finite wherever it fits a
-        double, even where ||e_n|| itself does not."""
-        nu, alpha = self.params
-        halves = {n: math.exp(0.5 * math.pi**2 / nu * (n + alpha) ** 2) for n, _ in self.coeffs}
-        return {n: a * halves[n] * ((math.pi / (2.0 * nu)) ** 0.25 * halves[n]) for n, a in self.coeffs}
+        """Coefficients against psi_n: c_n = a_n * ||e_n||."""
+        return {n: a * self.weight(n) for n, a in self.coeffs}
 
     def dominant_index(self):
         """Mode index carrying the largest orthonormal coefficient."""

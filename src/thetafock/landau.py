@@ -15,11 +15,8 @@ and an orthonormal eigenbasis is
     C_{m,n} = (2^m m!)^(-1/2) (2 nu/pi)^(1/4) exp(-(pi^2/nu) (alpha+n)^2),
 
 with y = Im z and H_m the physicists' Hermite polynomial.  The level
-m = 0 recovers the holomorphic modes psi_n, and psi_{m,n} = psi_n h_m(xi)
-with h_m = H_m / sqrt(2^m m!).  A combination takes psi_n once per n
-(fock._psi_sum) and runs h_{m+1} = sqrt(2/(m+1)) xi h_m - sqrt(m/(m+1)) h_{m-1}
-once per n up to its top level; basis_psi_mn checks it.  The ladder actions
-are
+m = 0 recovers the holomorphic modes psi_n; a combination sums psi_n times
+h_m = H_m / sqrt(2^m m!) in one pass (fock._psi_sum).  The ladder actions are
 
     A   psi_{m,n} =  i sqrt(nu m)      psi_{m-1,n},
     A^* psi_{m,n} = -i sqrt(nu (m+1))  psi_{m+1,n},
@@ -109,25 +106,22 @@ class LandauElement(_Expansion):
             raise DomainError(f"level must be a nonnegative integer, got {m}")
         return int(m), _index(n)
 
-    def _sum(self, z):
+    def _parts(self, z):
         levels, (nu, alpha) = {}, self.params
         for (m, n), c in self.coeffs:
             if m > MAX_LEVEL:
                 raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
             levels.setdefault(n, {})[m] = c
 
-        def coeff(n):  # sum over m of c_{m,n} h_m(xi) at the points, one recurrence up to the top level of n
-            if n in levels:
-                xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * (n + alpha)
-                total, h_prev, h = 0j, 0.0, 1.0
-                for m in range(max(levels[n]) + 1):
-                    if m:
-                        h, h_prev = math.sqrt(2.0 / m) * xi * h - math.sqrt((m - 1) / m) * h_prev, h
-                    if m in levels[n]:
-                        total = total + levels[n][m] * h
-                return total
+        def coeff(n, z):  # sum over m of c_{m,n} h_m(xi) at the points, one recurrence up to the top level of n
+            xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * (n + alpha)
+            total, h_prev, h = levels[n].get(0, 0j), 0.0, 1.0
+            for m in range(1, max(levels[n]) + 1):
+                h, h_prev = math.sqrt(2.0 / m) * xi * h - math.sqrt((m - 1) / m) * h_prev, h
+                total = total + levels[n][m] * h if m in levels[n] else total
+            return total
 
-        return _psi_sum(self.params, min(levels), max(levels), z, coeff)
+        yield _psi_sum(self.params, sorted(levels), z, coeff, 0.0)
 
     def raised(self):
         """Coefficient-level level shift psi_{m,n} -> psi_{m+1,n}."""

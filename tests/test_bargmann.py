@@ -182,3 +182,12 @@ def test_line_element_value_depends_on_its_point_only():
     whole = elem.evaluate(q)
     for i in range(q.size):
         assert whole[i] == elem.evaluate(q[i : i + 1])[0] == elem.evaluate(float(q[i]))
+
+
+def test_line_element_few_modes_over_a_wide_span():
+    # Horner takes one exp per distinct gap, so a wide span costs no more than a narrow one
+    elem = LineElement(0.2, {-300: 1.0, 0: 0.5j, 300: -2.0, 301: 1.0})
+    q = np.linspace(-1.0, 3.0, 101)
+    for x, value in zip(q, elem.evaluate(q)):
+        terms = [b * phi_basis(n, float(x), 0.2) for n, b in elem.coeffs]
+        assert abs(value - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms))

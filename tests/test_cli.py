@@ -205,12 +205,11 @@ def test_verify_tolerance_sensitivity_split():
     by_name = {case["name"]: case["pass"] for case in payload["cases"]}
     # quadrature-backed cases cannot reach 1e-15; exact bookkeeping can
     assert not by_name["01-orthonormal-basis"]
+    assert by_name["11-ladder-coefficients"]
     assert by_name["07-membership-decisions"]
     # the override keeps every case and its measured value; only the tolerance changes
     plain = json.loads(run_ok(["verify", "all"]))["cases"]
     assert [(c["name"], c["actual"]) for c in payload["cases"]] == [(c["name"], c["actual"]) for c in plain]
-    # the one-pass element sum and the single-mode psi_{m,n} are two computations that agree to rounding
-    assert {c["name"]: c["actual"] for c in plain}["11-ladder-coefficients"] <= 1e-14
     assert {c["tolerance"] for c in payload["cases"]} == {1e-15}
 
 

@@ -344,7 +344,7 @@ def test_element_value_depends_on_its_point_only():
     ties = rng.uniform(0.0, 1.0, 16) - 1j * (np.arange(-8, 8) + 0.5)
     z = np.concatenate([ties, rng.uniform(0.0, 1.0, 200) + 1j * rng.uniform(-9.0, 9.0, 200)])
     peak = -params.nu * z.imag / math.pi - params.alpha
-    assert np.count_nonzero(peak % 1.0 == 0.5) >= 8  # ties round half to even on both routes
+    assert np.count_nonzero(peak % 1.0 == 0.5) >= 8  # a tie between two keys goes to the lower one on both routes
     whole = elem.evaluate(z)
     for i in range(z.size):
         assert whole[i] == elem.evaluate(z[i : i + 1])[0] == elem.evaluate(complex(z[i]))
@@ -382,3 +382,62 @@ def test_element_sum_where_the_step_constant_underflows(nu):
 def test_norm_forms_each_product_before_squaring():
     # ||e_5||^2 ~ e^554 overflows; |a_5| ||e_5|| = 1 does not
     assert FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {5: 1.0}).norm() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_element_from_e_coefficients_where_psi_coefficients_overflow():
+    # a_n ||e_n|| leaves the double range (||e_6|| ~ e^783 at nu = 0.5) while a_n e_n(z) does not;
+    # {0: 1, 6: 1} needs two bands: scaled by the larger, a_0 ||e_0|| would underflow
+    cases = [(0.5, {6: 1.0}, 0.3), (0.1, {3: 1.0}, 0.3), (0.5, {0: 1.0, 6: 1.0}, 0.3),
+             (0.5, {0: 1.0, 6: 1.0}, 0.3 + 0.05j), (0.5, {-5: 1e-300, 0: 1.0, 6: 1.0, 9: 1e-200}, 0.1 - 0.2j)]
+    for nu, coeffs, z in cases:
+        params = SpaceParams(nu, 0.3)
+        terms = [a * basis_e(n, z, params) for n, a in coeffs.items()]
+        c = max(abs(n + params.alpha) for n in coeffs)
+        tol = (1e-12 + _rounding(params, z, c)) * math.fsum(map(abs, terms))
+        elem = FockElement(params, coeffs)
+        assert abs(elem.evaluate(z) - sum(terms)) <= tol, (nu, coeffs, z)
+        assert elem.evaluate(np.array([z]))[0] == elem.evaluate(z)
+
+
+def test_e_coefficient_sum_matches_per_mode_sum():
+    # a_n drawn directly, as JSON records and the CLI's --in files store them; wherever every
+    # a_n e_n(z) is finite, so is the sum, however far a_n ||e_n|| leaves the double range
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(30):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.1), math.log(50.0)))), float(rng.uniform(-0.5, 0.5)))
+        ns = _sparse(rng, -12, 12)
+        coeffs = dict(zip(ns, rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))))
+        elem, c = FockElement(params, coeffs), max(abs(n + params.alpha) for n in ns)
+        zs, refs = [], []
+        for z in rng.uniform(0.0, 1.0, 40) + 1j * rng.uniform(-12.0, 12.0, 40):
+            try:
+                terms = [a * basis_e(n, complex(z), params) for n, a in coeffs.items()]
+            except OverflowError:
+                continue
+            scale = math.fsum(abs(t) for t in terms)
+            if 1e-280 < scale < math.inf:
+                zs.append(z)
+                refs.append((sum(terms), scale * (1e-12 + _rounding(params, z, c))))
+        values = elem.evaluate(np.array(zs))
+        for value, (ref, tol) in zip(values, refs):
+            assert abs(value - ref) <= tol, (params, ns, value, ref)
+        checked += len(zs)
+    assert checked > 600
+
+
+@pytest.mark.parametrize("keys", [(-30, 30), (-30, 0, 30), (-30, -29, 0, 29, 30), (0,)])
+def test_few_modes_over_a_wide_span(keys, monkeypatch):
+    # the walk steps from mode to mode: its products grow with the number of modes, not with the span
+    import thetafock.fock as fock
+
+    params = SpaceParams(40.0, 0.2)
+    elem = FockElement.from_psi_coeffs(params, {n: 1.0 + 0.5j * n for n in keys})
+    z = np.linspace(0.0, 1.0, 301) + 1j * np.linspace(-40.0, 40.0, 301)
+    calls = []
+    monkeypatch.setattr(fock, "_mul", lambda a, b, mul=fock._mul: calls.append(1) or mul(a, b))
+    values = elem.evaluate(z)
+    assert len(calls) <= 2 + 4 * len(keys)
+    for w, value in zip(z, values):
+        terms = [(1.0 + 0.5j * n) * basis_psi(n, complex(w), params) for n in keys]
+        assert abs(value - sum(terms)) <= (1e-12 + _rounding(params, w, 30.2)) * math.fsum(map(abs, terms))

@@ -162,6 +162,7 @@ def test_repeated_raise_matches_eigenmode():
     elem = LandauElement(PARAMS, {(0, 1): 1.0})
     for _ in range(4):
         elem = elem.raised()
+    assert elem.coeff_dict() == {(4, 1): 1.0}
     for z in POINTS:
         ref = basis_psi_mn(4, 1, z, PARAMS)
         assert abs(elem.evaluate(z) - ref) <= 1e-14 * max(1.0, abs(ref))
@@ -253,3 +254,20 @@ def test_element_above_max_level_raises():
     elem.evaluate(0.3 + 0.1j)
     with pytest.raises(DomainError):
         elem.raised().evaluate(0.3 + 0.1j)
+
+
+def test_few_modes_over_a_wide_span(monkeypatch):
+    # the walk steps from Fourier index to index: its products grow with the modes, not with the span;
+    # the points cross the peaks of all three indices
+    import thetafock.fock as fock
+
+    params = SpaceParams(40.0, 0.3)
+    coeffs = {(0, -30): 1.0, (2, 30): 0.5j, (1, 0): 2.0, (3, 0): -1.0}
+    z = np.linspace(0.0, 1.0, 201) + 1j * np.linspace(-4.0, 4.0, 201)
+    calls = []
+    monkeypatch.setattr(fock, "_mul", lambda a, b, mul=fock._mul: calls.append(1) or mul(a, b))
+    values = LandauElement(params, coeffs).evaluate(z)
+    assert len(calls) <= 2 + 4 * 3
+    for w, value in zip(z, values):
+        terms = [a * basis_psi_mn(m, n, complex(w), params) for (m, n), a in coeffs.items()]
+        assert abs(value - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms)), w
