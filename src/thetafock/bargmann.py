@@ -56,14 +56,24 @@ class LineElement(_Expansion):
         super().__init__(float(alpha), coeffs)
 
     def _parts(self, q):
-        """Horner in u^d = exp(sqrt(2) i pi d q), unimodular on the line, one exp per distinct gap d."""
-        (top, total), powers = self.coeffs[-1], {}
-        for n, b in self.coeffs[-2::-1]:
-            d, top = top - n, n
+        """sum b_n phi_n(q) by Horner over the gaps d between indices in exp(s sqrt(2) i pi d q), |.| <= 1:
+        from the top index (s = 1) where Im q >= 0, from the bottom one (s = -1) below the line."""
+        below = q.imag < 0.0
+        if isinstance(q, complex) or not below.any():
+            yield self._horner(q, -1 if below is True else 1)
+        else:
+            out = np.empty(q.shape, dtype=complex)
+            out[~below], out[below] = self._horner(q[~below], 1), self._horner(q[below], -1)
+            yield out
+
+    def _horner(self, q, s):  # one exp per distinct gap, one for the last mode
+        (last, total), powers = self.coeffs[-1 if s > 0 else 0], {}
+        for n, b in self.coeffs[-2::-1] if s > 0 else self.coeffs[1:]:
+            d, last = abs(last - n), n
             if d not in powers:
-                powers[d] = _exp(SQRT2 * 1j * math.pi * d * q)
+                powers[d] = _exp(s * SQRT2 * 1j * math.pi * d * q)
             total = _mul(total, powers[d]) + b
-        yield _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (top + self.alpha) * q), total)
+        return _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (last + self.alpha) * q), total)
 
     def _header(self):
         return {"alpha": self.alpha}

@@ -249,8 +249,8 @@ class FockElement(_Expansion):
                 for n, a in self.coeffs if a}
         while logs:
             top = max(logs.values())
-            band = {n: a / abs(a) * math.exp(logs[n] - top)
-                    for n, a in self.coeffs if logs.get(n, -math.inf) > top - 300.0}
+            band = {n: a / abs(a) * math.exp(logs[n] - top)  # never empty: the largest is in, nan and inf too
+                    for n, a in self.coeffs if n in logs and not logs[n] < top - 300.0}
             logs = {n: v for n, v in logs.items() if n not in band}
             yield _psi_sum(self.params, sorted(band), z, lambda n, z, band=band: band[n], top)
 

@@ -191,3 +191,17 @@ def test_line_element_few_modes_over_a_wide_span():
     for x, value in zip(q, elem.evaluate(q)):
         terms = [b * phi_basis(n, float(x), 0.2) for n, b in elem.coeffs]
         assert abs(value - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+
+def test_line_element_off_the_line():
+    # below the line exp(sqrt(2) i pi q) grows, and Horner runs from the lowest index instead
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        alpha = float(rng.uniform(-0.5, 0.5))
+        ns = sorted(int(n) for n in rng.choice(np.arange(-40, 41), int(rng.integers(1, 41)), replace=False))
+        elem = LineElement(alpha, dict(zip(ns, rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns)))))
+        q = rng.uniform(0.0, SQRT2, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
+        for x, value in zip(q, elem.evaluate(q)):
+            terms = [b * phi_basis(n, complex(x), alpha) for n, b in elem.coeffs]
+            assert abs(value - sum(terms)) <= 1e-12 * math.fsum(abs(t) for t in terms)
+            assert value == elem.evaluate(complex(x))

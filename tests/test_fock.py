@@ -441,3 +441,12 @@ def test_few_modes_over_a_wide_span(keys, monkeypatch):
     for w, value in zip(z, values):
         terms = [(1.0 + 0.5j * n) * basis_psi(n, complex(w), params) for n in keys]
         assert abs(value - sum(terms)) <= (1e-12 + _rounding(params, w, 30.2)) * math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, math.inf)])
+def test_non_finite_coefficient_raises(bad):
+    elem = FockElement(PARAMS, {-1: 1.0, 0: bad, 2: 1e-300})
+    with pytest.raises(OverflowError):
+        elem.evaluate(0.3 + 0.1j)
+    with pytest.raises(OverflowError):
+        elem.evaluate(np.array([0.3 + 0.1j, -0.2j]))
