@@ -187,9 +187,9 @@ def _psi_sum(params, keys, z, coeff, scale):
     A point anchors on the key nearest its peak mode -nu Im z/pi - alpha, takes psi there from one exp
     and walks outward: by f = psi_{n+-1}/psi_n from one exp, f q (q = exp(-2 pi^2/nu)) at each further
     index, one exp across a gap.  Each factor has modulus <= 1, so each intermediate is a true term.  The
-    walk runs at e^scale |psi| on the anchor clamped into [e^-100, e^400]: terms with |coeff| > e^-300 stay
-    normal and none overflows.  An ndarray is sorted by anchor, so that the upward sweep works on a prefix
-    and the downward one on a suffix; each point takes the scalar route's operations.
+    walk runs at e^scale |psi| on the anchor clamped into [e^-100, e^400]: with |coeff| in (e^-300, 1], a term
+    within e^-300 of the largest stays normal and none overflows.  An ndarray is sorted by anchor, so that the
+    upward sweep works on a prefix and the downward one on a suffix; each point takes the scalar route's steps.
     """
     (nu, alpha), scalar, count = params, isinstance(z, complex), len(keys)
     a2, mids = math.pi**2 / nu, [(a + b) / 2.0 for a, b in zip(keys, keys[1:])]
