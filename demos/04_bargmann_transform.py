@@ -7,9 +7,10 @@ phi_n(q) = 2^{-1/4} e^{sqrt(2) i pi (alpha+n) q}.  The integral transform
     (B phi)(z) = integral_0^sqrt(2) A(z; q) phi(q) dq
 
 with a theta-kernel A maps phi_n to the cylinder basis psi_n: it is a
-unitary map onto the quasi-periodic Fock space.  The kernel has a second
-formula G as a basis sum, and A == G is precisely the theta inversion law
-from demo 01.
+unitary map onto the quasi-periodic Fock space, so its inverse takes the
+psi-coefficients back to the phi_n.  The kernel has a second formula G as
+a basis sum, and A == G is precisely the theta inversion law from demo 01;
+pairing a member against G is the inverse again, by quadrature.
 """
 
 import numpy as np
@@ -24,8 +25,10 @@ from thetafock import (
     basis_psi,
     generating_kernel_G,
     generating_kernel_sum,
+    StripScheme,
     line_inner_product,
     phi_basis,
+    strip_inner_product,
 )
 
 
@@ -68,11 +71,23 @@ def main():
     print("psi-coefficients of the image:",
           {n: f"{c:.3f}" for n, c in elem.psi_coeffs().items()})
 
-    # Inverse transform: pair the image against the generating kernel.
+    # Inverse transform: the closed form sum c_n phi_n, and the pairing of the
+    # image against the generating kernel, <f, G(., q)> = sum c_n <psi_n, G(., q)>,
+    # each term on a strip rule centred on psi_n's bump.
     for q in (0.2, 0.9):
         back = bargmann_inverse(elem, q)
+        paired = sum(
+            c * strip_inner_product(
+                lambda z, n=n: basis_psi(n, z, params),
+                lambda z, q=q: generating_kernel_G(z, q, params),
+                params.nu,
+                StripScheme.centered(params.nu, params.alpha, n),
+            )
+            for n, c in elem.psi_coeffs().items()
+        )
         orig = line.evaluate(q)
-        print(f"q={q}:  round trip |B^-1(B phi)(q) - phi(q)| = {abs(back - orig):.3e}")
+        print(f"q={q}:  round trip |B^-1(B phi)(q) - phi(q)| = {abs(back - orig):.3e}"
+              f"   |<B phi, G(., q)> - B^-1(B phi)(q)| = {abs(paired - back):.3e}")
 
     print()
     print("=" * 72)

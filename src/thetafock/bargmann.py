@@ -19,9 +19,9 @@ The same kernel has the bilateral generating expansion
               * theta_{alpha,0}(z - q/sqrt(2) | i pi/nu),
 
 and the pointwise identity A == G is equivalent to the theta3 inversion
-law.  The inverse transform pairs a member f against G:
-
-    (B^-1 f)(q) = <f, G(., q)>  (strip inner product).
+law.  B is unitary, so the inverse of a finite member is closed form,
+B^-1 (sum c_n psi_n) = sum c_n phi_n; the tests check it against the
+strip pairing <f, G(., q)>, an independent quadrature.
 """
 
 import math
@@ -29,13 +29,12 @@ import math
 from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
 from .core import _as_complex, _exp, _finite, _mul, _reduce, np
 from .fock import FockElement, SpaceParams, _Expansion, basis_psi
-from .quadrature import SQRT2, StripScheme, _evaluate_on, _strip_rule, _trapezoid_weights
+from .quadrature import SQRT2, _evaluate_on, _trapezoid_weights
 from .theta import _theta_value
 
 # numpy divides a complex array by a real number as the product with its
 # reciprocal; the kernels multiply by it on both routes
 _INV_SQRT2 = 1.0 / SQRT2
-_Q_BLOCK = 8
 
 
 def phi_basis(n, q, alpha):
@@ -149,21 +148,6 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
     )
 
 
-def bargmann_inverse(elem, q, budget=DEFAULT_BUDGET):
-    """Inverse transform of a finite member: (B^-1 f)(q) = <f, G(., q)>.
-
-    One strip rule, recentered on the element's dominant mode so the
-    Gaussian bumps of the pairing sit under it, serves every q: the element
-    is evaluated once on its nodes, and G on the nodes of _Q_BLOCK values of
-    q at a time, so memory stays flat in the number of q.
-    """
-    params = elem.params
-    grid, weights, wx = _strip_rule(params.nu, StripScheme.centered(params.nu, params.alpha, elem.dominant_index()))
-    qq = np.asarray(q, dtype=float)
-    fv = _evaluate_on(elem.evaluate, grid, "f")
-    qs = qq.reshape(-1)
-    out = np.empty(qs.shape, dtype=complex)
-    for i in range(0, qs.size, _Q_BLOCK):
-        gv = generating_kernel_G(grid, qs[i : i + _Q_BLOCK, None, None], params, budget)
-        out[i : i + _Q_BLOCK] = np.sum(fv * np.conj(gv) * weights * wx, axis=(-2, -1))
-    return complex(out[0]) if qq.ndim == 0 else out.reshape(qq.shape)
+def bargmann_inverse(elem, q):
+    """Inverse transform of a finite member: B^-1 (sum c_n psi_n) = sum c_n phi_n, evaluated at q."""
+    return LineElement(elem.params.alpha, elem.psi_coeffs()).evaluate(q)

@@ -75,9 +75,9 @@ class _Expansion:
     under "params", or the bare alpha of the line, named by SPACE) and the
     sorted tuple `coeffs` of (key, complex coefficient) pairs; equality and
     hashing go by the class and both fields.  Each subclass supplies
-    `_parts(z)`, the sum at z as a few partial sums, its key fields KEYS, the
-    record header (`_header` / `_space_from`, nu and alpha by default) and
-    `weight(key)` = ||b_k||, so that the norm is the Parseval sum.
+    `_parts(z)`, the sum at z as a few partial sums, its key fields KEYS and the
+    record header (`_header` / `_space_from`, nu and alpha by default); the
+    norm is the Parseval sum over orthonormal b_k unless a subclass says otherwise.
     Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
     """
 
@@ -109,23 +109,21 @@ class _Expansion:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def weight(self, key):
-        return 1.0
-
     def coeff_dict(self):
         return dict(self.coeffs)
 
     def evaluate(self, z):
         z = _as_complex(z)
         zero = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
-        total = sum(self._parts(z) if self.coeffs else (), zero)
+        with _quiet(z):  # a value that left the double range is reported by _finite
+            total = _finite(sum(self._parts(z) if self.coeffs else (), zero), "element value")
         return total if isinstance(z, complex) or z.ndim else complex(total)
 
     __call__ = evaluate
 
     def norm(self):
-        """Parseval norm sqrt(sum (|c_k| ||b_k||)^2): a large ||b_k|| meets its small |c_k| before squaring."""
-        return math.sqrt(math.fsum((abs(c) * self.weight(k)) ** 2 for k, c in self.coeffs))
+        """Parseval norm sqrt(sum |c_k|^2)."""
+        return math.sqrt(math.fsum(abs(c) ** 2 for _, c in self.coeffs))
 
     def _header(self):
         return {"nu": self.params.nu, "alpha": self.params.alpha}
@@ -195,38 +193,36 @@ def _psi_sum(params, keys, z, coeff, scale):
     a2, mids = math.pi**2 / nu, [(a + b) / 2.0 for a, b in zip(keys, keys[1:])]
     cut = (lambda x, a, b: x) if scalar else (lambda x, a, b: x[a:b])  # a Python complex is its one point
     put = (lambda x, a, b, v: v) if scalar else (lambda x, a, b, v: x.__setitem__(slice(a, b), v) or x)
-    with _quiet(z):  # non-finite values are reported by _finite below
-        if scalar:
-            at = sum(m < -nu * z.imag / math.pi - alpha for m in mids)
-            ends, size, c = [int(at <= k) for k in range(count)], 1, keys[at] + alpha
-        else:
-            shape, z = z.shape, z.ravel()
-            at = np.searchsorted(mids, -nu * z.imag / math.pi - alpha)
-            order = np.argsort(at.astype(np.min_scalar_type(count)), kind="stable")  # a radix sort
-            z, at, size = z[order], at[order], z.size
-            ends, c = np.searchsorted(at, range(count), side="right").tolist(), np.asarray(keys, float)[at] + alpha
-        expo = _mul(0.5 * nu * z + 2j * math.pi * c, z) - a2 * c * c + (0.25 * math.log(2.0 * nu / math.pi) + scale)
-        over = expo.real - (max(-100.0, min(400.0, expo.real)) if scalar else np.clip(expo.real, -100.0, 400.0))
-        anchor, q, base = _exp(expo - over), math.exp(-2.0 * a2), 2j * math.pi * z
-        total = 0j if scalar else np.zeros_like(anchor)
-        for sgn, log_w in ((1, base), (-1, -base)):  # log_w - shift = log psi_{n+-1}/psi_n
-            t, f, fresh = anchor if scalar or sgn < 0 else anchor.copy(), 0j if scalar else np.empty_like(anchor), True
-            for k in range(count)[::sgn]:
-                lo, hi = ends[k - 1] if k else 0, ends[k]  # the points anchored at key k
-                a, b, s = (0, hi, 0) if sgn > 0 else (lo, size, hi)  # walked to key k; from s on, add its term
-                if s < b:
-                    total = put(total, s, b, cut(total, s, b) + _mul(coeff(keys[k], cut(z, s, b)), cut(t, s, b)))
-                if a == b or not 0 <= k + sgn < count:
-                    continue
-                d, shift = abs(keys[k + sgn] - keys[k]), sgn * 2.0 * a2 * (keys[k] + alpha) + a2
-                if d == 1 and (fresh or lo < hi):  # f from one exp on a point's anchor and after a gap
-                    lo, hi = (a, b) if fresh else (lo, hi)
-                    f = put(f, lo, hi, _exp(cut(log_w, lo, hi) - shift))
-                step = cut(f, a, b) if d == 1 else _exp(d * (cut(log_w, a, b) - shift) - a2 * d * (d - 1))
-                t, f, fresh = put(t, a, b, _mul(cut(t, a, b), step)), put(f, a, b, step * q) if d == 1 else f, d > 1
-        if (over != 0.0) if scalar else np.any(over):
-            total = _mul(total, _exp(over + 0j))  # the clamped part of e^scale |psi| on the anchor
-    total = _finite(total, "element value")
+    if scalar:
+        at = sum(m < -nu * z.imag / math.pi - alpha for m in mids)
+        ends, size, c = [int(at <= k) for k in range(count)], 1, keys[at] + alpha
+    else:
+        shape, z = z.shape, z.ravel()
+        at = np.searchsorted(mids, -nu * z.imag / math.pi - alpha)
+        order = np.argsort(at.astype(np.min_scalar_type(count)), kind="stable")  # a radix sort
+        z, at, size = z[order], at[order], z.size
+        ends, c = np.searchsorted(at, range(count), side="right").tolist(), np.asarray(keys, float)[at] + alpha
+    expo = _mul(0.5 * nu * z + 2j * math.pi * c, z) - a2 * c * c + (0.25 * math.log(2.0 * nu / math.pi) + scale)
+    over = expo.real - (max(-100.0, min(400.0, expo.real)) if scalar else np.clip(expo.real, -100.0, 400.0))
+    anchor, q, base = _exp(expo - over), math.exp(-2.0 * a2), 2j * math.pi * z
+    total = 0j if scalar else np.zeros_like(anchor)
+    for sgn, log_w in ((1, base), (-1, -base)):  # log_w - shift = log psi_{n+-1}/psi_n
+        t, f, fresh = anchor if scalar or sgn < 0 else anchor.copy(), 0j if scalar else np.empty_like(anchor), True
+        for k in range(count)[::sgn]:
+            lo, hi = ends[k - 1] if k else 0, ends[k]  # the points anchored at key k
+            a, b, s = (0, hi, 0) if sgn > 0 else (lo, size, hi)  # walked to key k; from s on, add its term
+            if s < b:
+                total = put(total, s, b, cut(total, s, b) + _mul(coeff(keys[k], cut(z, s, b)), cut(t, s, b)))
+            if a == b or not 0 <= k + sgn < count:
+                continue
+            d, shift = abs(keys[k + sgn] - keys[k]), sgn * 2.0 * a2 * (keys[k] + alpha) + a2
+            if d == 1 and (fresh or lo < hi):  # f from one exp on a point's anchor and after a gap
+                lo, hi = (a, b) if fresh else (lo, hi)
+                f = put(f, lo, hi, _exp(cut(log_w, lo, hi) - shift))
+            step = cut(f, a, b) if d == 1 else _exp(d * (cut(log_w, a, b) - shift) - a2 * d * (d - 1))
+            t, f, fresh = put(t, a, b, _mul(cut(t, a, b), step)), put(f, a, b, step * q) if d == 1 else f, d > 1
+    if (over != 0.0) if scalar else np.any(over):
+        total = _mul(total, _exp(over + 0j))  # the clamped part of e^scale |psi| on the anchor
     if scalar:
         return total
     out = np.empty_like(total)
@@ -241,21 +237,22 @@ class FockElement(_Expansion):
     from_psi_coeffs / psi_coeffs for the orthonormal convention.
     """
 
-    def _parts(self, z):
-        """sum a_n e_n(z) = sum c_n psi_n(z), c_n = a_n ||e_n||, by bands in log space: a band holds the
-        modes whose log|c_n| lies within 300 of its largest, top, so no c_n need fit a double."""
+    def _polar(self):
+        """{n: (a_n/|a_n|, log|c_n|)} over the nonzero a_n, c_n = a_n ||e_n||: no c_n need fit a double."""
         nu, alpha = self.params
-        logs = {n: math.log(abs(a)) + 0.25 * math.log(math.pi / (2.0 * nu)) + math.pi**2 / nu * (n + alpha) ** 2
+        log_k = 0.25 * math.log(math.pi / (2.0 * nu))
+        return {n: (a / abs(a), math.log(abs(a)) + log_k + math.pi**2 / nu * (n + alpha) ** 2)
                 for n, a in self.coeffs if a}
-        while logs:
-            top = max(logs.values())
-            band = {n: a / abs(a) * math.exp(logs[n] - top)  # never empty: the largest is in, nan and inf too
-                    for n, a in self.coeffs if n in logs and not logs[n] < top - 300.0}
-            logs = {n: v for n, v in logs.items() if n not in band}
-            yield _psi_sum(self.params, sorted(band), z, lambda n, z, band=band: band[n], top)
 
-    def weight(self, n):
-        return e_norm(n, self.params)
+    def _parts(self, z):
+        """sum c_n psi_n(z) by bands: a band holds the modes whose log|c_n| lies within 300 of its largest, top."""
+        polar = self._polar()
+        while polar:
+            top = max(log for _, log in polar.values())
+            band = {n: u * math.exp(log - top)  # never empty: the largest is in, nan and inf too
+                    for n, (u, log) in polar.items() if not log < top - 300.0}
+            polar = {n: v for n, v in polar.items() if n not in band}
+            yield _psi_sum(self.params, sorted(band), z, lambda n, z, band=band: band[n], top)
 
     @classmethod
     def from_psi_coeffs(cls, params, coeffs):
@@ -264,13 +261,21 @@ class FockElement(_Expansion):
 
     def psi_coeffs(self):
         """Coefficients against psi_n: c_n = a_n * ||e_n||."""
-        return {n: a * self.weight(n) for n, a in self.coeffs}
+        polar = self._polar()
+        return {n: _finite(polar[n][0] * _exp(complex(polar[n][1])), f"psi coefficient c_{n}") if n in polar else 0j
+                for n, _ in self.coeffs}
+
+    def norm(self):
+        """Parseval norm sqrt(sum |c_n|^2), scaled by the largest |c_n|."""
+        logs = [log for _, log in self._polar().values()]
+        top = max(logs, default=-math.inf)  # e^-inf = 0 for the empty sum
+        scaled = math.sqrt(math.fsum(math.exp(2.0 * (log - top)) for log in logs))
+        return _finite(_exp(complex(top)) * scaled, "norm").real
 
     def dominant_index(self):
         """Mode index carrying the largest orthonormal coefficient."""
-        if not self.coeffs:
-            return 0
-        return max(self.psi_coeffs().items(), key=lambda kv: (abs(kv[1]), -abs(kv[0])))[0]
+        polar = self._polar()
+        return max(polar, key=lambda n: (polar[n][1], -abs(n)), default=0)
 
 
 def quasiperiod_factor(z, m, params):

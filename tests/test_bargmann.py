@@ -3,12 +3,13 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from thetafock.bargmann import (
-    _Q_BLOCK,
     LineElement,
     bargmann_inverse,
     bargmann_kernel_A,
@@ -19,8 +20,8 @@ from thetafock.bargmann import (
     phi_basis,
 )
 from thetafock.core import DomainError, TruncationBudget, TruncationError
-from thetafock.fock import SpaceParams, basis_psi
-from thetafock.quadrature import SQRT2, line_inner_product
+from thetafock.fock import FockElement, SpaceParams, basis_psi
+from thetafock.quadrature import SQRT2, StripScheme, line_inner_product, strip_inner_product
 from thetafock.theta import jacobi_theta3, theta3_inversion_rhs
 
 PARAMS = SpaceParams(math.pi, 0.3)
@@ -118,7 +119,7 @@ def test_inverse_of_single_mode_is_phi():
 
 def test_inverse_memory_flat_in_number_of_q():
     fock_elem = bargmann_transform_coeffs(LineElement(PARAMS.alpha, {-1: 0.5, 0: 1.0, 1: 0.3j}), 3.0)
-    bargmann_inverse(fock_elem, 0.3)  # quadrature nodes cached outside the measurement
+    bargmann_inverse(fock_elem, 0.3)  # first-call set-up outside the measurement
     tracemalloc.start()
     try:
         bargmann_inverse(fock_elem, np.linspace(0.0, SQRT2, 200))
@@ -130,11 +131,73 @@ def test_inverse_memory_flat_in_number_of_q():
 
 def test_inverse_vector_q_equals_scalar_calls_across_blocks():
     fock_elem = bargmann_transform_coeffs(LineElement(PARAMS.alpha, {0: 1.0, 2: 0.5 - 0.3j}), PARAMS.nu)
-    n = 2 * _Q_BLOCK + 3  # three blocks of q, the last one short, in a 2-d array
+    n = 19  # a 2-d array of q
     qs = np.linspace(0.05, 1.35, n).reshape(n, 1)
     values = bargmann_inverse(fock_elem, qs)
     assert values.shape == qs.shape
     assert values.ravel().tolist() == [bargmann_inverse(fock_elem, float(q)) for q in qs.ravel()]
+
+
+def _strip_pairing(elem, q):
+    """<f, G(., q)> by linearity: sum of c_n <psi_n, G(., q)>, each on a strip rule centred on psi_n's bump."""
+    p = elem.params
+    return sum(c * strip_inner_product(lambda z, n=n: basis_psi(n, z, p), lambda z: generating_kernel_G(z, q, p), p.nu,
+                                       StripScheme.centered(p.nu, p.alpha, n)) for n, c in elem.psi_coeffs().items())
+
+
+@pytest.mark.parametrize("params, coeffs", [
+    (PARAMS, {0: 1.0, 2: 0.5 - 0.3j, -1: 0.25j}),
+    (PARAMS, {1: 1.0}),
+    (SpaceParams(3.0, 0.3), {-1: 0.5, 0: 1.0, 1: 0.3j}),
+    (PARAMS, {-2: 0.4j, 0: 1.0, 3: -0.6}),
+    (SpaceParams(0.5, 0.3), {0: 1.0, 3: 0.5}),  # bumps far apart: y_0 = -1.9, y_3 = -20.7
+    (SpaceParams(1.0, 0.3), {0: 1.0, 3: 0.5}),
+])
+def test_inverse_equals_strip_pairing_against_G(params, coeffs):
+    # the closed form sum c_n phi_n against the quadrature oracle <f, G(., q)>, criterion 08's tolerance
+    elem = FockElement.from_psi_coeffs(params, coeffs)
+    for q in (0.1, 0.4, 1.2):
+        ref = _strip_pairing(elem, q)
+        assert abs(bargmann_inverse(elem, q) - ref) <= 1e-8 * max(1.0, abs(ref)), q
+
+
+def _mp_phi(n, q, alpha):
+    return mp.mpf(2) ** -0.25 * mp.expjpi(mp.sqrt(2) * (n + mp.mpf(alpha)) * q)
+
+
+def test_inverse_of_far_apart_modes_against_mpmath():
+    elem = FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {0: 1.0, 3: 0.5})
+    with mp.workdps(40):
+        ref = complex(_mp_phi(0, 0.4, 0.3) + _mp_phi(3, 0.4, 0.3) / 2)
+    assert ref == pytest.approx(1.1083401347588433 + 0.25648478850416345j, rel=1e-15)
+    assert bargmann_inverse(elem, 0.4) == pytest.approx(ref, rel=1e-14)
+
+
+def test_coefficient_past_the_double_range_of_e_n():
+    # a_6 = 1e-300 against ||e_6|| ~ e^783 at nu = 0.5: c_6 ~ 2.35e40 is finite, though ||e_6|| is not
+    params = SpaceParams(0.5, 0.3)
+    elem = FockElement(params, {6: 1e-300})
+    with mp.workdps(40):
+        e6 = (mp.pi / (2 * mp.mpf(params.nu))) ** 0.25 * mp.exp(mp.pi**2 / params.nu * (6 + mp.mpf(0.3)) ** 2)
+        c6, value = float(mp.mpf(1e-300) * e6), complex(mp.mpf(1e-300) * e6 * _mp_phi(6, 0.4, 0.3))
+    # log|c_6| = log|a_6| + log||e_6|| = -690.8 + 783.6 carries ~1e-13 of rounding into c_6
+    assert elem.norm() == pytest.approx(c6, rel=1e-12)
+    assert elem.psi_coeffs().keys() == {6} and elem.psi_coeffs()[6] == pytest.approx(c6, rel=1e-12)
+    assert elem.dominant_index() == 6
+    assert bargmann_inverse(elem, 0.4) == pytest.approx(value, rel=1e-12)
+    assert (c6, value) == pytest.approx((2.354782136056e40, 3.9434294e39 - 1.9404639e40j), rel=1e-7)
+
+
+def test_element_value_past_the_double_range_raises():
+    line = LineElement(0.3, {-40: 1.0, 40: 1.0})  # each term overflows at 0.1 - 9i
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy warns of none of it
+        with pytest.raises(OverflowError, match="element value overflowed the double range"):
+            line.evaluate(0.1 - 9j)
+        with pytest.raises(OverflowError, match="element value overflowed the double range"):
+            line.evaluate(np.array([0.2 + 0.1j, 0.1 - 9j]))
+        with pytest.raises(OverflowError, match="element value overflowed the double range"):
+            bargmann_inverse(FockElement.from_psi_coeffs(PARAMS, {0: 1e308, 1: 1e308}), 0.0)
 
 
 def test_round_trip_composition():

@@ -247,6 +247,14 @@ def test_exit_codes():
     assert code == 64
 
 
+def test_inverse_names_the_coefficient_that_overflowed(tmp_path):
+    # a_6 = 1 is stored, but c_6 = a_6 ||e_6|| ~ e^783 at nu = 0.5 is past the double range
+    elem = tmp_path / "fock.json"
+    elem.write_text(FockElement(SpaceParams(0.5, 0.3), {6: 1.0}).to_json())
+    code, text = run_command(["bargmann", "inverse", "--in", str(elem), "--q", "0.4"])
+    assert (code, text) == (1, "error: psi coefficient c_6 overflowed the double range")
+
+
 def test_non_finite_numbers_are_usage_errors(tmp_path):
     elem = tmp_path / "fock.json"
     elem.write_text(FockElement.from_psi_coeffs(SpaceParams(math.pi, 0.3), {0: 1.0}).to_json())

@@ -34,6 +34,12 @@ def test_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_source_line_exceeds_120_columns():
+    long = [f"{path.name}:{i}" for path in sorted(SRC.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 120]
+    assert long == []
+
+
 def test_names_resolve_to_the_defining_module():
     for sub in SUBMODULES:
         assert getattr(thetafock, sub) is importlib.import_module(f"thetafock.{sub}")

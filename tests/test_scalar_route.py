@@ -49,6 +49,7 @@ SCALAR_LEAVES = {
                         "--path", "sum"],
     "fock-member": ["fock", "member", "--nu", "3.0", "--alpha", "0.2", "--beta", "0.1", "--tau", "0.1+1.5i"],
     "bargmann-forward": ["bargmann", "forward", "--in", "{line}", "--nu", "3.0", "--z", "0.3+0.4i"],
+    "bargmann-inverse": ["bargmann", "inverse", "--in", "{fock}", "--q", "0.4"],
     "landau-apply": ["landau", "apply", "--in", "{landau}", "--z", "0.35+0.55i"],
     "landau-raise": ["landau", "raise", "--in", "{landau}", "--out", "{out}"],
     "landau-lower": ["landau", "lower", "--in", "{landau}", "--out", "{out}"],
@@ -99,8 +100,9 @@ assert "numpy.ma" not in sys.modules
 
 @pytest.mark.parametrize("leaf", sorted(SCALAR_LEAVES))
 def test_scalar_leaf_executes_no_numpy(leaf, tmp_path):
-    files = {"line": tmp_path / "line.json", "landau": tmp_path / "landau.json", "out": tmp_path / "out.json"}
+    files = {name: tmp_path / f"{name}.json" for name in ("line", "fock", "landau", "out")}
     files["line"].write_text(json.dumps(LineElement(0.2, {-1: 0.5, 0: 1.0, 2: 0.3j}).to_dict()))
+    files["fock"].write_text(FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {0: 1.0, 3: 0.5}).to_json())
     files["landau"].write_text(json.dumps(LandauElement(SpaceParams(2.0, 0.3), {(0, 1): 1.0, (2, -1): 0.5j}).to_dict()))
     argv = [a.format(**files) for a in SCALAR_LEAVES[leaf]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
