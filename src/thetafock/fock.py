@@ -146,7 +146,10 @@ class _Expansion:
             coeffs = {}
             for row in data["coeffs"]:
                 key = tuple(_index(row[f]) for f in cls.KEYS)
-                coeffs[key if len(key) > 1 else key[0]] = complex(float(row["re"]), float(row["im"]))
+                re, im = float(row["re"]), float(row["im"])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError(f"non-finite coefficient in row {row}")
+                coeffs[key if len(key) > 1 else key[0]] = complex(re, im)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed element record: {exc}") from exc
         return cls(space, coeffs)

@@ -39,10 +39,9 @@ truncation against rounding noise.
 
 import cmath
 import math
-import numbers
 from collections import namedtuple
 
-from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, _sum, hermite_poly, np
+from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _is_number, _mul, _sum, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
 from .quadrature import _evaluate_on
 
@@ -141,7 +140,7 @@ def _apply(f, z, weight):
     """Stencil sum over the rows of weight(zbar, row) * f(z + STEP*row.offset).
     A Python number z calls f once per offset, on a Python number; an ndarray
     z calls f once on the offsets of every point."""
-    if isinstance(z, numbers.Complex):
+    if _is_number(z):
         z = complex(z)
         zbar, terms = z.conjugate(), []
         for row in _ROWS:

@@ -123,11 +123,12 @@ def strip_inner_product(f, g, nu, scheme=StripScheme()):
     """Gaussian-weighted inner product <f, g> on the strip [0,1] x R.
 
     f and g are callables of a complex argument (vectorized callables are
-    evaluated on the full node grid at once).  Conjugate-linear in g.
+    evaluated on the full node grid at once).  Conjugate-linear in g.  A norm,
+    g is f, evaluates f once.
     """
     grid, weights, wx = _strip_rule(nu, scheme)
     fv = _evaluate_on(f, grid, "f")
-    gv = _evaluate_on(g, grid, "g")
+    gv = fv if g is f else _evaluate_on(g, grid, "g")
     return complex(np.sum(fv * np.conj(gv) * weights * wx))
 
 

@@ -30,11 +30,11 @@ numpy's order; arrays by numpy, _CHUNK points at a time, to the same bits.
 
 import cmath
 import math
-import numbers
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _div, _exp, _finite, _mul, _sum, np
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _div, _exp, _finite, _is_number, _mul
+from .core import _sum, np
 
 _CHUNK = 1024
 
@@ -104,7 +104,7 @@ def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     scalar or ndarray; OverflowError naming `what` outside the double range.
     Python numbers take the scalar route; arrays go through in chunks of
     _CHUNK points, so temporaries stay small."""
-    if isinstance(z, numbers.Complex) and isinstance(logpref, numbers.Complex):
+    if _is_number(z) and _is_number(logpref):
         E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
         return _finite(_mul(_exp(E), S), what)
     with np.errstate(over="ignore", invalid="ignore"):

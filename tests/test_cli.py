@@ -312,6 +312,16 @@ def test_bad_coefficient_or_fractional_index_is_usage_error(tmp_path):
         assert code == 64, text
 
 
+@pytest.mark.parametrize("number", ("NaN", "Infinity", "-Infinity"))
+def test_non_finite_coefficient_record_is_usage_error(tmp_path, number):
+    # json reads NaN and Infinity; such a record is malformed, as a NaN --q is a usage error
+    bad = tmp_path / "bad.json"
+    for row in (f'{{"n": 0, "re": {number}, "im": 0}}', f'{{"n": 0, "re": 1, "im": {number}}}'):
+        bad.write_text(f'{{"alpha": 0.3, "coeffs": [{row}]}}')
+        code, text = run_command(["bargmann", "forward", "--in", str(bad), "--z", "0.1"])
+        assert code == 64 and "malformed element record: non-finite coefficient" in text, text
+
+
 @pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1"))
 def test_tol_must_be_finite_and_positive(tol):
     theta = ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i", "--z", "0"]

@@ -180,6 +180,16 @@ def test_element_rejects_malformed():
         FockElement.from_dict({"nu": math.pi, "alpha": 0.3, "coeffs": [{"n": 0, "re": "x", "im": 0}]})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_element_record_rejects_non_finite_coefficient(bad):
+    records = ((FockElement, {"nu": math.pi, "alpha": 0.3}, {"n": 0}), (LineElement, {"alpha": 0.3}, {"n": 0}),
+               (LandauElement, {"nu": math.pi, "alpha": 0.3}, {"m": 1, "n": 0}))
+    for cls, header, key in records:
+        for part in ({"re": bad, "im": 0.0}, {"re": 1.0, "im": bad}):
+            with pytest.raises(DomainError, match="malformed element record"):
+                cls.from_dict({**header, "coeffs": [{**key, "re": 1.0, "im": 0.0}, {**key, "n": 1, **part}]})
+
+
 def test_element_keys_must_be_integral():
     with pytest.raises(DomainError):
         FockElement(PARAMS, {0.5: 1.0})

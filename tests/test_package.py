@@ -6,6 +6,7 @@ on construction (the parameters, the budget, the schemes, the membership
 result) and the three coefficient expansions.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -38,6 +39,16 @@ def test_no_source_line_exceeds_120_columns():
     long = [f"{path.name}:{i}" for path in sorted(SRC.rglob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 120]
     assert long == []
+
+
+def test_numbers_abcs_only_in_the_scalar_predicate():
+    # an isinstance check against a numbers ABC costs ~20 type() tests; it stays behind core._is_number's fast path
+    core = SRC / "thetafock" / "core.py"
+    predicate = next(node for node in ast.parse(core.read_text()).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_is_number")
+    uses = [(path.name, i) for path in sorted(SRC.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if "numbers." in line]
+    assert uses and all(path == core.name and predicate.lineno <= i <= predicate.end_lineno for path, i in uses), uses
 
 
 def test_names_resolve_to_the_defining_module():

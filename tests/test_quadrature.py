@@ -161,6 +161,19 @@ def test_strip_gram_matches_pairwise_inner_products():
             assert abs(gram[i, j] - ip) <= 1e-15
 
 
+def test_norm_evaluates_f_once():
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return basis_psi(0, z, PARAMS) + 0.5j * basis_psi(1, z, PARAMS) - 0.2 * basis_psi(-1, z, PARAMS)
+
+    scheme = StripScheme.centered(PARAMS.nu, PARAMS.alpha, 0)
+    value = strip_inner_product(f, f, PARAMS.nu, scheme)
+    assert calls == [(scheme.x_points, scheme.y_order)]
+    assert value == strip_inner_product(f, lambda z: f(z), PARAMS.nu, scheme)
+
+
 def test_strip_gram_of_no_modes_is_empty():
     assert strip_gram([], PARAMS.nu, PARAMS.alpha).shape == (0, 0)
 

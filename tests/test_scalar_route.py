@@ -188,3 +188,45 @@ def test_scalar_equals_array_to_the_last_bit():
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
     assert len(seen) == 21
+
+
+# numpy scalars and the Python numbers the scalar route admits, each from a draw's point z
+_KINDS = {
+    "np.complex128": lambda z: np.complex128(z),
+    "float": lambda z: z.real,
+    "np.float64": lambda z: np.float64(z.real),
+    "np.float32": lambda z: np.float32(z.real),
+    "np.int64": lambda z: np.int64(round(2.0 * z.real)),
+}
+
+
+def test_numpy_scalars_take_the_scalar_route():
+    seen = set()
+    for i, (name, f, z) in enumerate(_cases(np.random.default_rng(7))):
+        if i == 3 * 21:
+            break
+        for kind, make in _KINDS.items():
+            x = make(z)
+            value = f(x)
+            assert type(value) is complex and value == f(complex(x)), (name, kind, x, value)
+        seen.add(name)
+    assert len(seen) == 21
+
+
+class _NoABC:
+    """Stands in for the numbers module: any ABC lookup fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numbers.{name} was asked")
+
+
+def test_python_numbers_never_reach_the_numbers_abcs(monkeypatch):
+    import thetafock.core as core
+
+    cases = [(name, f, make(z)) for i, (name, f, z) in zip(range(2 * 21), _cases(np.random.default_rng(8)))
+             for make in (complex, lambda z: z.real, lambda z: round(2.0 * z.real))]
+    expected = [f(x) for _, f, x in cases]
+    monkeypatch.setattr(core, "numbers", _NoABC())
+    assert [f(x) for _, f, x in cases] == expected
+    with pytest.raises(AssertionError, match="numbers.Complex was asked"):
+        riemann_theta(ThetaArgs(0.3, 0.1, 0.2 + 0.7j), np.float64(0.4))
