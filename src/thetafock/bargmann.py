@@ -113,8 +113,7 @@ def generating_kernel_sum(z, q, params, budget=DEFAULT_BUDGET):
 
 def bargmann_transform_coeffs(elem, nu):
     """Coefficient-level transform: sum b_n phi_n maps to sum b_n psi_n."""
-    params = SpaceParams(nu, elem.alpha)
-    return FockElement.from_psi_coeffs(params, elem.coeff_dict())
+    return FockElement.from_psi_coeffs(SpaceParams(nu, elem.alpha), elem.coeffs)
 
 
 def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=256, max_intervals=4096):

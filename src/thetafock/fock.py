@@ -71,14 +71,12 @@ def _index(value):
 class _Expansion:
     """Finite expansion sum c_k b_k over one family of modes b_k.
 
-    An instance is immutable, with two fields: the space (a SpaceParams
-    under "params", or the bare alpha of the line, named by SPACE) and the
-    sorted tuple `coeffs` of (key, complex coefficient) pairs; equality and
-    hashing go by the class and both fields.  Each subclass supplies
-    `_parts(z)`, the sum at z as a few partial sums, its key fields KEYS and the
-    record header (`_header` / `_space_from`, nu and alpha by default); the
-    norm is the Parseval sum over orthonormal b_k unless a subclass says otherwise.
-    Records are {header..., "coeffs": [{key fields..., "re", "im"}]}.
+    An instance is immutable.  Its fields are the space (a SpaceParams under "params", or the bare alpha of the
+    line, named by SPACE), the sorted tuple `coeffs` of (key, complex coefficient) pairs and what a subclass derives
+    from them once; equality and hashing go by the class and every field.  Each subclass supplies `_parts(z)`, the
+    sum at z as a few partial sums, its key fields KEYS and the record header (`_header` / `_space_from`, nu and
+    alpha by default).  The norm is math.hypot over `_orthonormal()`, the coefficients against orthonormal b_k.
+    Records are {header..., "coeffs": [{key fields..., "re", "im"}]}, one row per key.
     """
 
     SPACE = "params"
@@ -91,14 +89,11 @@ class _Expansion:
 
     _clean_key = staticmethod(_index)
 
-    def _state(self):
-        return getattr(self, self.SPACE), self.coeffs
-
     def __eq__(self, other):
-        return self._state() == other._state() if other.__class__ is self.__class__ else NotImplemented
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(self._state())
+        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.SPACE}={getattr(self, self.SPACE)!r}, coeffs={self.coeffs!r})"
@@ -112,6 +107,8 @@ class _Expansion:
     def coeff_dict(self):
         return dict(self.coeffs)
 
+    _orthonormal = coeff_dict
+
     def evaluate(self, z):
         z = _as_complex(z)
         zero = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
@@ -122,8 +119,8 @@ class _Expansion:
     __call__ = evaluate
 
     def norm(self):
-        """Parseval norm sqrt(sum |c_k|^2)."""
-        return math.sqrt(math.fsum(abs(c) ** 2 for _, c in self.coeffs))
+        """Parseval norm sqrt(sum |c_k|^2) over the coefficients against the orthonormal b_k."""
+        return _finite(math.hypot(*map(abs, self._orthonormal().values())), "norm").real
 
     def _header(self):
         return {"nu": self.params.nu, "alpha": self.params.alpha}
@@ -149,10 +146,12 @@ class _Expansion:
                 re, im = float(row["re"]), float(row["im"])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite coefficient in row {row}")
-                coeffs[key if len(key) > 1 else key[0]] = complex(re, im)
+                if key in coeffs:
+                    raise ValueError(f"duplicate key in row {row}")
+                coeffs[key] = complex(re, im)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed element record: {exc}") from exc
-        return cls(space, coeffs)
+        return cls(space, {k if len(k) > 1 else k[0]: c for k, c in coeffs.items()})
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -234,22 +233,26 @@ def _psi_sum(params, keys, z, coeff, scale):
 
 
 class FockElement(_Expansion):
-    """Finite linear combination sum a_n e_n in the quasi-periodic space.
+    """Finite linear combination sum a_n e_n = sum c_n psi_n in the quasi-periodic space, c_n = a_n ||e_n||.
 
-    Coefficients are stored against the unnormalized modes e_n; use
-    from_psi_coeffs / psi_coeffs for the orthonormal convention.
+    `coeffs` holds the a_n, `_psi` the view read by evaluation and the psi side: per mode (n, w, s), c_n = w e^s, as
+    (n, a_n/|a_n|, log|c_n|) or (n, c_n, 0), built without ||e_n|| so that neither c_n nor a_n need fit a double.
     """
 
-    def _polar(self):
-        """{n: (a_n/|a_n|, log|c_n|)} over the nonzero a_n, c_n = a_n ||e_n||: no c_n need fit a double."""
+    def __init__(self, params, coeffs):
+        super().__init__(params, coeffs)
+        object.__setattr__(self, "_psi", tuple(self._scaled(self.coeffs, 1)))
+
+    def _scaled(self, pairs, sign):
+        """(n, x/|x|, log|x| + sign log||e_n||) per (n, x), (n, 0, 0) for x = 0: e^log need not fit a double."""
         nu, alpha = self.params
-        log_k = 0.25 * math.log(math.pi / (2.0 * nu))
-        return {n: (a / abs(a), math.log(abs(a)) + log_k + math.pi**2 / nu * (n + alpha) ** 2)
-                for n, a in self.coeffs if a}
+        log_k, a2 = 0.25 * math.log(math.pi / (2.0 * nu)), math.pi**2 / nu
+        for n, x in pairs:
+            yield (n, x / abs(x), math.log(abs(x)) + sign * log_k + sign * a2 * (n + alpha) ** 2) if x else (n, 0j, 0.0)
 
     def _parts(self, z):
         """sum c_n psi_n(z) by bands: a band holds the modes whose log|c_n| lies within 300 of its largest, top."""
-        polar = self._polar()
+        polar = {n: (w, s) if s else (w / abs(w), math.log(abs(w))) for n, w, s in self._psi if w}  # s = 0: w is c_n
         while polar:
             top = max(log for _, log in polar.values())
             band = {n: u * math.exp(log - top)  # never empty: the largest is in, nan and inf too
@@ -259,26 +262,28 @@ class FockElement(_Expansion):
 
     @classmethod
     def from_psi_coeffs(cls, params, coeffs):
-        """Build from coefficients against the orthonormal modes psi_n."""
-        return cls(params, {n: complex(c) / e_norm(n, params) for n, c in dict(coeffs).items()})
+        """Build from coefficients c_n against psi_n: the view keeps them as given, a_n = c_n/||e_n|| in log space."""
+        elem = cls.__new__(cls)
+        _Expansion.__init__(elem, params, coeffs)
+        object.__setattr__(elem, "_psi", tuple((n, c, 0.0) for n, c in elem.coeffs))
+        object.__setattr__(elem, "coeffs", tuple((n, u * math.exp(log)) for n, u, log in elem._scaled(elem.coeffs, -1)))
+        return elem
 
     def psi_coeffs(self):
-        """Coefficients against psi_n: c_n = a_n * ||e_n||."""
-        polar = self._polar()
-        return {n: _finite(polar[n][0] * _exp(complex(polar[n][1])), f"psi coefficient c_{n}") if n in polar else 0j
-                for n, _ in self.coeffs}
+        """Coefficients against psi_n, c_n = w e^s from the view."""
+        return {n: _finite(w * _exp(complex(s)), f"psi coefficient c_{n}") for n, w, s in self._psi}
 
-    def norm(self):
-        """Parseval norm sqrt(sum |c_n|^2), scaled by the largest |c_n|."""
-        logs = [log for _, log in self._polar().values()]
-        top = max(logs, default=-math.inf)  # e^-inf = 0 for the empty sum
-        scaled = math.sqrt(math.fsum(math.exp(2.0 * (log - top)) for log in logs))
-        return _finite(_exp(complex(top)) * scaled, "norm").real
+    _orthonormal = psi_coeffs
 
     def dominant_index(self):
-        """Mode index carrying the largest orthonormal coefficient."""
-        polar = self._polar()
-        return max(polar, key=lambda n: (polar[n][1], -abs(n)), default=0)
+        """Mode index carrying the largest orthonormal coefficient, the smaller |n| on a tie."""
+        return max(((math.log(abs(w)) + s, -abs(n), n) for n, w, s in self._psi if w), default=(0, 0, 0))[2]
+
+    def to_dict(self):
+        for (n, a), (_, w, _) in zip(self.coeffs, self._psi):
+            if w and abs(a) < 2.0**-1022:  # c_n != 0 whose a_n is zero or subnormal: a record cannot carry it
+                raise OverflowError(f"e_n coefficient a_{n} underflowed the double range")
+        return super().to_dict()
 
 
 def quasiperiod_factor(z, m, params):

@@ -322,6 +322,30 @@ def test_non_finite_coefficient_record_is_usage_error(tmp_path, number):
         assert code == 64 and "malformed element record: non-finite coefficient" in text, text
 
 
+def test_duplicate_key_record_is_usage_error(tmp_path):
+    # two rows for n = 0: the record is malformed, not {0: 2}
+    bad = tmp_path / "dup.json"
+    rows = [{"n": 0, "re": 1.0, "im": 0.0}, {"n": 0, "re": 2.0, "im": 0.0}]
+    bad.write_text(json.dumps({"nu": 0.5, "alpha": 0.3, "coeffs": rows}))
+    code, text = run_command(["bargmann", "inverse", "--in", str(bad), "--q", "0.4"])
+    assert code == 64 and "malformed element record: duplicate key" in text, text
+
+
+def test_forward_of_a_mode_whose_e_coefficient_underflows(tmp_path):
+    # c_6 = 1 at nu = 0.5 has a_6 = c_6 / ||e_6|| ~ e^-783: the element evaluates, but no record can hold a_6
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"alpha": 0.3, "coeffs": [{"n": 0, "re": 1, "im": 0}, {"n": 6, "re": 1, "im": 0}]}))
+    forward = ["bargmann", "forward", "--in", str(line), "--nu", "0.5"]
+    value = json.loads(run_ok(forward + ["--z", "0.3"]))
+    params = SpaceParams(0.5, 0.3)
+    expected = basis_psi(0, 0.3, params) + basis_psi(6, 0.3, params)
+    assert complex(value["re"], value["im"]) == pytest.approx(expected, rel=1e-15)
+    out = tmp_path / "fock.json"
+    code, text = run_command(forward + ["--out", str(out)])
+    assert (code, text) == (1, "error: e_n coefficient a_6 underflowed the double range")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1"))
 def test_tol_must_be_finite_and_positive(tol):
     theta = ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i", "--z", "0"]

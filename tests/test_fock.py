@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetafock.bargmann import LineElement
+from thetafock.bargmann import LineElement, bargmann_inverse, phi_basis
 from thetafock.core import DomainError
 from thetafock.fock import (
     FockElement,
@@ -178,6 +178,13 @@ def test_element_rejects_malformed():
         FockElement.from_dict({"nu": math.pi, "alpha": 0.3, "coeffs": [{"n": 0}]})
     with pytest.raises(DomainError):
         FockElement.from_dict({"nu": math.pi, "alpha": 0.3, "coeffs": [{"n": 0, "re": "x", "im": 0}]})
+    records = ((FockElement, {"nu": 0.5, "alpha": 0.3}, {"n": 0}), (LineElement, {"alpha": 0.3}, {"n": 0}),
+               (LandauElement, {"nu": 0.5, "alpha": 0.3}, {"m": 1, "n": 0}))
+    for cls, header, key in records:  # a key given twice is not a choice of the last row
+        with pytest.raises(DomainError, match="duplicate key"):
+            cls.from_dict({**header, "coeffs": [{**key, "re": 1.0, "im": 0.0}, {**key, "re": 2.0, "im": 0.0}]})
+    rows = [{"m": 0, "n": 1, "re": 1, "im": 0}, {"m": 1, "n": 1, "re": 2, "im": 0}]  # one n on two levels is fine
+    assert LandauElement.from_dict({"nu": 0.5, "alpha": 0.3, "coeffs": rows}).coeff_dict() == {(0, 1): 1, (1, 1): 2}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -392,6 +399,48 @@ def test_element_sum_where_the_step_constant_underflows(nu):
 def test_norm_forms_each_product_before_squaring():
     # ||e_5||^2 ~ e^554 overflows; |a_5| ||e_5|| = 1 does not
     assert FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {5: 1.0}).norm() == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_norm_of_coefficients_whose_squares_leave_the_double_range(size):
+    params = SpaceParams(0.5, 0.3)
+    for elem in (LineElement(0.3, {0: size}), LandauElement(params, {(0, 0): size}),
+                 FockElement.from_psi_coeffs(params, {0: size})):
+        assert elem.norm() == size
+    assert LineElement(0.3, {0: 3.0 * size, 1: 4.0 * size}).norm() == pytest.approx(5.0 * size, rel=1e-15)
+    assert FockElement(params, {0: size}).norm() == pytest.approx(size * e_norm(0, params), rel=1e-12)  # via log|c_0|
+    with pytest.raises(OverflowError, match="norm overflowed"):
+        LineElement(0.3, {0: 1.5e308, 1: 1.5e308}).norm()
+
+
+def test_element_from_psi_coefficients_whose_e_coefficients_underflow():
+    # c_6 = 1 at nu = 0.5 is a_6 = c_6 / ||e_6|| ~ e^-783, which a double cannot hold; the element keeps c_6
+    params = SpaceParams(0.5, 0.3)
+    elem = FockElement.from_psi_coeffs(params, {6: 1})
+    assert elem.coeff_dict() == {6: 0j}
+    assert elem.norm() == 1.0 and elem.psi_coeffs() == {6: 1.0} and elem.dominant_index() == 6
+    assert bargmann_inverse(elem, 0.4) == pytest.approx(phi_basis(6, 0.4, 0.3), rel=1e-15)
+    z = complex(0.3, -math.pi * 6.3 / 0.5)  # the peak line of psi_6
+    assert elem.evaluate(z) == pytest.approx(basis_psi(6, z, params), rel=1e-12)
+    # equal a_n (both underflow to 0), different c_n: unequal elements
+    other = FockElement.from_psi_coeffs(params, {6: 2})
+    assert other.coeffs == elem.coeffs and other != elem and hash(other) != hash(elem)
+    assert FockElement.from_psi_coeffs(params, {6: 1.0}) == elem
+    # a c_n given as a double comes back as that double
+    coeffs = {-2: 0.1 + 0.2j, 0: 1e-200, 3: -7.5e150j}
+    assert FockElement.from_psi_coeffs(params, coeffs).psi_coeffs() == coeffs
+    assert FockElement.from_psi_coeffs(params, {0: 1e-200}).norm() == 1e-200
+
+
+def test_record_of_an_e_coefficient_below_the_double_range_raises():
+    params = SpaceParams(0.5, 0.3)
+    with pytest.raises(OverflowError, match="e_n coefficient a_6 underflowed"):
+        FockElement.from_psi_coeffs(params, {0: 1.0, 6: 1.0}).to_dict()
+    # a_5 ~ e^-554 is a normal double: the record holds it
+    record = FockElement.from_psi_coeffs(params, {5: 1.0}).to_dict()
+    assert FockElement.from_dict(record).norm() == pytest.approx(1.0, rel=1e-13)
+    zero_row = FockElement.from_psi_coeffs(params, {0: 1.0, 6: 0.0}).to_dict()["coeffs"][1]  # c_6 = 0 is not lost
+    assert zero_row == {"n": 6, "re": 0.0, "im": 0.0}
 
 
 def test_element_from_e_coefficients_where_psi_coefficients_overflow():
