@@ -35,6 +35,8 @@ from .theta import _theta_value
 # numpy divides a complex array by a real number as the product with its
 # reciprocal; the kernels multiply by it on both routes
 _INV_SQRT2 = 1.0 / SQRT2
+# Trapezoid intervals of bargmann_pointwise: the first rule, and the cap of its doubling
+START_INTERVALS, MAX_INTERVALS = 256, 4096
 
 
 def phi_basis(n, q, alpha):
@@ -116,14 +118,14 @@ def bargmann_transform_coeffs(elem, nu):
     return FockElement.from_psi_coeffs(SpaceParams(nu, elem.alpha), elem.coeffs)
 
 
-def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=256, max_intervals=4096):
+def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET):
     """Transform value (B phi)(z) = integral of A(z; q) phi(q) over [0, sqrt(2)].
 
     Trapezoid rule with interval doubling until two successive refinements
     agree within budget.tol; the integrand is sqrt(2)-periodic so the rule
     converges spectrally.  Agreement counts only where the rounding of the
     sum, about eps * sum |node terms|, is below budget.tol as well.  Raises
-    TruncationError if max_intervals is reached without agreement.
+    TruncationError if MAX_INTERVALS is reached without agreement.
     """
     zz = complex(z)
 
@@ -134,16 +136,16 @@ def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET, start_intervals=25
         vals = bargmann_kernel_A(zz, qs, params, budget) * phiv * w
         return complex(np.sum(vals)), _EPS * float(np.sum(np.abs(vals)))
 
-    n = int(start_intervals)
+    n = START_INTERVALS
     prev, _ = quad(n)
-    while n < max_intervals:
+    while n < MAX_INTERVALS:
         n *= 2
         cur, rounding = quad(n)
         if abs(cur - prev) <= budget.tol and rounding <= budget.tol:
             return cur
         prev = cur
     raise TruncationError(
-        f"line integral did not stabilize within {max_intervals} intervals (budget tol {budget.tol:.1e})"
+        f"line integral did not stabilize within {MAX_INTERVALS} intervals (budget tol {budget.tol:.1e})"
     )
 
 

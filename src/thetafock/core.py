@@ -12,9 +12,9 @@ complex/cmath/math; an ndarray the array route; one formula serves both.
 _is_number picks the route: complex, float and int by exact type (~0.04 us),
 other types by the numbers ABCs (~0.8 us each through ABCMeta's isinstance;
 a scalar mode asks four times).  Only exp and the reductions dispatch; _mul
-and _div round as Python's complex type on both routes (numpy may fuse a
-complex product's multiply-add), so a scalar value equals its array
-counterpart to the last bit.
+rounds a product as Python's complex type on both routes (numpy may fuse its
+multiply-add), and series are summed left to right on both, so a scalar value
+equals its array counterpart to the last bit.
 
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
@@ -119,42 +119,6 @@ def _mul(a, b):
     product = 1j * a.imag * b
     product += a.real * b
     return product
-
-
-def _div(a, b):
-    """a / b for a Python complex b, rounded as Python's complex quotient
-    (Smith's algorithm), on either route."""
-    if abs(b.real) >= abs(b.imag):
-        ratio = b.imag / b.real
-        denom = b.real + b.imag * ratio
-        return (a.real + a.imag * ratio) / denom + 1j * ((a.imag - a.real * ratio) / denom)
-    ratio = b.real / b.imag
-    denom = b.real * ratio + b.imag
-    return (a.real * ratio + a.imag) / denom + 1j * ((a.imag * ratio - a.real) / denom)
-
-
-def _sum(terms, lo=0, hi=None):
-    """Sum of a list of Python complex numbers in the order of numpy's add.reduce
-    over a contiguous axis: runs of 4 to 64 terms in 4 interleaved partial sums,
-    (s0 + s1) + (s2 + s3) plus the leftover terms, longer runs split in halves
-    at a multiple of 4, each run started at -0 and the whole added to 0, so
-    signed zeros agree too (Higham, SIAM J. Sci. Comput. 14, 1993)."""
-    if hi is None:
-        return 0j + _sum(terms, 0, len(terms))
-    n = hi - lo
-    if n > 64:
-        mid = lo + (n - n % 8) // 2
-        return _sum(terms, lo, mid) + _sum(terms, mid, hi)
-    total = -0j
-    if n >= 4:
-        s0, s1, s2, s3 = terms[lo : lo + 4]
-        lo, hi4 = lo + 4, hi - n % 4
-        for i in range(lo, hi4, 4):
-            s0, s1, s2, s3 = s0 + terms[i], s1 + terms[i + 1], s2 + terms[i + 2], s3 + terms[i + 3]
-        total, lo = (s0 + s1) + (s2 + s3), hi4
-    for t in terms[lo:hi]:
-        total += t
-    return total
 
 
 def _reduce(name, x):

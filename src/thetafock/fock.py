@@ -84,8 +84,13 @@ class _Expansion:
 
     def __init__(self, space, coeffs):
         object.__setattr__(self, self.SPACE, space)
-        cleaned = tuple(sorted((self._clean_key(k), complex(c)) for k, c in dict(coeffs).items()))
-        object.__setattr__(self, "coeffs", cleaned)
+        cleaned = {}
+        for k, c in coeffs.items() if hasattr(coeffs, "keys") else coeffs:  # a mapping or (key, coeff) pairs
+            key = self._clean_key(k)
+            if key in cleaned:  # a key given twice is not a choice of the last one
+                raise DomainError(f"duplicate key {key}")
+            cleaned[key] = complex(c)
+        object.__setattr__(self, "coeffs", tuple(sorted(cleaned.items())))
 
     _clean_key = staticmethod(_index)
 
@@ -140,18 +145,16 @@ class _Expansion:
     def from_dict(cls, data):
         try:
             space = cls._space_from(data)
-            coeffs = {}
+            pairs = []
             for row in data["coeffs"]:
                 key = tuple(_index(row[f]) for f in cls.KEYS)
                 re, im = float(row["re"]), float(row["im"])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite coefficient in row {row}")
-                if key in coeffs:
-                    raise ValueError(f"duplicate key in row {row}")
-                coeffs[key] = complex(re, im)
+                pairs.append((key if len(key) > 1 else key[0], complex(re, im)))
+            return cls(space, pairs)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed element record: {exc}") from exc
-        return cls(space, {k if len(k) > 1 else k[0]: c for k, c in coeffs.items()})
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -266,7 +269,8 @@ class FockElement(_Expansion):
         elem = cls.__new__(cls)
         _Expansion.__init__(elem, params, coeffs)
         object.__setattr__(elem, "_psi", tuple((n, c, 0.0) for n, c in elem.coeffs))
-        object.__setattr__(elem, "coeffs", tuple((n, u * math.exp(log)) for n, u, log in elem._scaled(elem.coeffs, -1)))
+        object.__setattr__(elem, "coeffs", tuple((n, _finite(u * _exp(complex(log)), f"e_n coefficient a_{n}"))
+                                                 for n, u, log in elem._scaled(elem.coeffs, -1)))
         return elem
 
     def psi_coeffs(self):

@@ -31,17 +31,17 @@ share one 17-point offset table OFFSETS, the centre plus the edges and
 corners of the squares of half-width 1 and 1/2.  Their unit-step weights
 D_Z, D_ZBAR and D_ZZBAR are the central first differences and the compact
 9-point Laplacian, each with one Richardson step folded in.  Each operator is
-one weighted sum over f(z + STEP*OFFSETS): a Python number z calls f once per
-offset, without numpy (core._sum keeps numpy's order); an ndarray z calls f
-once on every offset of every point.  The step STEP = 1e-4 balances
-truncation against rounding noise.
+one weighted sum over f(z + STEP*OFFSETS), added left to right: a Python
+number z calls f once per offset, without numpy; an ndarray z calls f once on
+every offset of every point.  The step STEP = 1e-4 balances truncation
+against rounding noise.
 """
 
 import cmath
 import math
 from collections import namedtuple
 
-from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _is_number, _mul, _sum, hermite_poly, np
+from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _is_number, _mul, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
 from .quadrature import _evaluate_on
 
@@ -66,8 +66,8 @@ CENTRE = tuple(float(r == 0) for r in _RING)
 D_ZBAR = tuple(o * (0.0, -1 / 12, 0.0, 4 / 3, 0.0)[r] for o, r in zip(OFFSETS, _RING))
 D_Z = tuple(d.conjugate() for d in D_ZBAR)
 D_ZZBAR = tuple((-25 / 6, -1 / 18, -1 / 72, 8 / 9, 2 / 9)[r] for r in _RING)
-# One row per offset; a weight function reads it as weight(zbar, row), on one
-# row of Python numbers (scalar z) or on the whole table as ndarrays.
+# One row of Python numbers per offset; a weight function reads it as
+# weight(zbar, row), for a Python complex zbar or an ndarray of them.
 _Stencil = namedtuple("_Stencil", "offset centre d_z d_zbar d_zzbar")
 _ROWS = tuple(map(_Stencil, OFFSETS, CENTRE, D_Z, D_ZBAR, D_ZZBAR))
 
@@ -137,24 +137,23 @@ class LandauElement(_Expansion):
 
 
 def _apply(f, z, weight):
-    """Stencil sum over the rows of weight(zbar, row) * f(z + STEP*row.offset).
-    A Python number z calls f once per offset, on a Python number; an ndarray
-    z calls f once on the offsets of every point."""
+    """Stencil sum over the rows of weight(zbar, row) * f(z + STEP*row.offset),
+    left to right.  A Python number z calls f once per offset, on a Python
+    number; an ndarray z calls f once on the offsets of every point."""
     if _is_number(z):
-        z = complex(z)
-        zbar, terms = z.conjugate(), []
+        z, vals = complex(z), []
         for row in _ROWS:
             node = z + STEP * row.offset
-            value = complex(f(node))
-            if not cmath.isfinite(value):
+            vals.append(complex(f(node)))
+            if not cmath.isfinite(vals[-1]):
                 raise EvaluationError(f"f returned a non-finite value at node {node}")
-            terms.append(_mul(value, weight(zbar, row)))
-        return _sum(terms)
-    zz = np.asarray(z, dtype=complex)
-    table = _Stencil(*map(np.array, zip(*_ROWS)))
-    vals = _evaluate_on(f, zz[..., None] + STEP * table.offset, "f")
-    out = np.sum(_mul(vals, weight(zz.conjugate()[..., None], table)), axis=-1)
-    return complex(out) if zz.ndim == 0 else out
+    else:
+        z = np.asarray(z, dtype=complex)
+        vals = np.moveaxis(_evaluate_on(f, z[..., None] + STEP * np.array(OFFSETS), "f"), -1, 0)
+    zbar = z.conjugate()
+    terms = [_mul(value, weight(zbar, row)) for value, row in zip(vals, _ROWS)]
+    out = sum(terms[1:], terms[0])
+    return out if isinstance(z, complex) or z.ndim else complex(out)
 
 
 def annihilation_apply(f, z):

@@ -212,7 +212,7 @@ def test_round_trip_composition():
 def test_pointwise_budget_exhaustion():
     phi = lambda q: phi_basis(0, q, PARAMS.alpha)
     with pytest.raises(TruncationError):
-        bargmann_pointwise(phi, 0.2 + 0.1j, PARAMS, TruncationBudget(tol=1e-18), 8, 16)
+        bargmann_pointwise(phi, 0.2 + 0.1j, PARAMS, TruncationBudget(tol=1e-18))
 
 
 def test_line_element_validation():

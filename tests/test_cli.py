@@ -346,6 +346,14 @@ def test_forward_of_a_mode_whose_e_coefficient_underflows(tmp_path):
     assert not out.exists()
 
 
+def test_forward_of_a_mode_whose_e_coefficient_overflows(tmp_path):
+    # b_0 = 1e308 at nu = 1000 gives a_0 = b_0 / ||e_0|| ~ 5e308: the error names a_0
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"alpha": 0.0, "coeffs": [{"n": 0, "re": 1e308, "im": 0}]}))
+    code, text = run_command(["bargmann", "forward", "--in", str(line), "--nu", "1000", "--z", "0.1"])
+    assert (code, text) == (1, "error: e_n coefficient a_0 overflowed the double range")
+
+
 @pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1"))
 def test_tol_must_be_finite_and_positive(tol):
     theta = ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau", "0+1i", "--z", "0"]

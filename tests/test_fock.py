@@ -209,6 +209,19 @@ def test_element_keys_must_be_integral():
     assert LineElement.from_dict({"alpha": 0.3, "coeffs": [{"n": 2.0, "re": 1, "im": 0}]}).coeff_dict() == {2: 1.0}
 
 
+def test_constructors_reject_a_key_given_twice():
+    # pairs are not merged into the last one; keys that coincide only once cleaned count as one key
+    builds = ((lambda pairs: FockElement(PARAMS, pairs), [(0, 1), (0.0, 2)], "0"),
+              (lambda pairs: FockElement.from_psi_coeffs(PARAMS, pairs), [(0, 1), (0, 2)], "0"),
+              (lambda pairs: LineElement(0.3, pairs), [(-1, 1), (-1.0, 2)], "-1"),
+              (lambda pairs: LandauElement(PARAMS, pairs), [((1, 0), 1), ((1.0, 0.0), 2)], r"\(1, 0\)"))
+    for build, pairs, key in builds:
+        with pytest.raises(DomainError, match=f"duplicate key {key}$"):
+            build(pairs)
+        assert build(pairs[1:]) == build(dict(pairs[1:]))  # one pair per key: as the mapping
+    assert LineElement(0.3, [(2, 1), (0, 2)]).coeffs == ((0, 2 + 0j), (2, 1 + 0j))
+
+
 def test_norm_homogeneity_and_parseval():
     elem = FockElement.from_psi_coeffs(PARAMS, {-1: 0.6, 0: 1.0, 2: -0.3j})
     # orthonormal coefficients: norm^2 = sum |c_n|^2
@@ -441,6 +454,13 @@ def test_record_of_an_e_coefficient_below_the_double_range_raises():
     assert FockElement.from_dict(record).norm() == pytest.approx(1.0, rel=1e-13)
     zero_row = FockElement.from_psi_coeffs(params, {0: 1.0, 6: 0.0}).to_dict()["coeffs"][1]  # c_6 = 0 is not lost
     assert zero_row == {"n": 6, "re": 0.0, "im": 0.0}
+
+
+def test_e_coefficient_above_the_double_range_raises():
+    # ||e_0|| = (pi/2000)^(1/4) ~ 0.2 at nu = 1000, so a_0 = c_0 / ||e_0|| ~ 5e308
+    with pytest.raises(OverflowError, match=r"^e_n coefficient a_0 overflowed the double range$"):
+        FockElement.from_psi_coeffs(SpaceParams(1000.0, 0.0), {0: 1e308})
+    assert FockElement.from_psi_coeffs(SpaceParams(1000.0, 0.0), {0: 1e307}).psi_coeffs() == {0: 1e307}
 
 
 def test_element_from_e_coefficients_where_psi_coefficients_overflow():

@@ -14,6 +14,7 @@ import pytest
 from thetafock.bargmann import bargmann_kernel_A, generating_kernel_G, generating_kernel_sum
 from thetafock.core import DomainError, TruncationError
 from thetafock.fock import SpaceParams, reproducing_kernel, theta_member
+from thetafock.landau import annihilation_apply, basis_psi_mn, creation_apply, landau_apply
 from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 REL = 1e-9
@@ -175,6 +176,7 @@ def test_arrays_equal_per_point_scalar_calls():
     zs = rng.uniform(0.0, 1.0, (3, 1100)) + 1j * rng.uniform(-1.0, 1.0, (3, 1100))
     params = SpaceParams(6.0, 0.2)
     member = theta_member(ThetaArgs(0.2, 0.1, 1.5j), params)
+    psi = lambda w: basis_psi_mn(3, 1, w, params)
     calls = (
         lambda z: riemann_theta(ThetaArgs(0.3, -0.1, 0.4 + 0.07j), z),
         lambda z: reproducing_kernel(z, 0.3 - 0.4j, params),
@@ -182,6 +184,9 @@ def test_arrays_equal_per_point_scalar_calls():
         lambda z: generating_kernel_G(z, 0.9, params),
         lambda z: bargmann_kernel_A(z, 0.9, SpaceParams(0.5, 0.2)),
         member,
+        lambda z: landau_apply(psi, z, params),
+        lambda z: creation_apply(psi, z, params),
+        lambda z: annihilation_apply(psi, z),
     )
     picks = rng.choice(zs.size, 40, replace=False)
     for f in calls:
@@ -189,7 +194,7 @@ def test_arrays_equal_per_point_scalar_calls():
         assert vals.shape == zs.shape
         for i in picks:
             z = complex(zs.flat[i])
-            assert abs(vals.flat[i] - f(z)) <= 1e-13 * abs(f(z))
+            assert vals.flat[i] == f(z), (z, vals.flat[i], f(z))
 
 
 def test_exact_zero_returns_rounding_not_error():
