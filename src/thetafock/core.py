@@ -83,6 +83,7 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 _COMPLEXES, _REALS = (complex, float, int), (float, int)
 _QUIET = contextlib.nullcontext()
+_TWO_K = tuple(map(float, range(0, 128, 2)))  # 2.0*k for k < 64, the factors of hermite_poly's recurrence
 
 
 def _is_number(x, real=False):
@@ -141,28 +142,31 @@ def _finite(vals, what):
 def hermite_poly(m, x):
     """Physicists' Hermite polynomial H_m(x) by upward recurrence.
 
-    H_0 = 1, H_1 = 2x, H_{m+1} = 2x H_m - 2m H_{m-1}.  Accepts scalar or
-    ndarray x.  Raises OverflowError if the recurrence leaves the double
-    range (large m with large x).
+    H_0 = 1, H_1 = 2x, H_{m+1} = 2x H_m - 2m H_{m-1}, for every degree m.
+    Accepts scalar or ndarray x.  Raises OverflowError if the recurrence
+    leaves the double range (large m with large x).
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"Hermite degree must be a nonnegative integer, got {m}")
-    m = int(m)
-    scalar = _is_number(x, real=True)
-    xs = float(x) if scalar else np.asarray(x, dtype=float)
-    h_prev = 1.0 if scalar else np.ones_like(xs)
-    # Overflow is detected below and raised; silence the interim warnings.
-    with _quiet(xs):
-        if m == 0:
-            out = h_prev
-        else:
-            h = 2.0 * xs
-            for k in range(1, m):
-                h, h_prev = 2.0 * xs * h - 2.0 * k * h_prev, h
-            out = h
+    if type(m) is not int or m < 0:
+        if m < 0 or m != int(m):
+            raise DomainError(f"Hermite degree must be a nonnegative integer, got {m}")
+        m = int(m)
+    if scalar := _is_number(x, real=True):
+        out = _hermite(m, float(x), 1.0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            out = _hermite(m, np.asarray(x, dtype=float), np.ones(np.shape(x)))
     if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
         raise OverflowError(f"Hermite recurrence overflowed at degree {m}")
     return out if scalar or np.ndim(x) else float(out)
+
+
+def _hermite(m, x, h_prev):
+    """H_m(x) from H_0 = h_prev on either route; with 2x formed once and each 2k a
+    float (from _TWO_K up to its length), a step rounds as 2.0*x*H_k - 2.0*k*H_{k-1}."""
+    x2 = h = 2.0 * x
+    for k2 in _TWO_K[1:m] if m <= len(_TWO_K) else map(float, range(2, 2 * m, 2)):
+        h, h_prev = x2 * h - k2 * h_prev, h
+    return h if m else h_prev
 
 
 def character(alpha, m):

@@ -30,16 +30,19 @@ three Wirtinger derivatives d/dz, d/dzbar and d^2/(dz dzbar) = Laplacian/4
 share one 17-point offset table OFFSETS, the centre plus the edges and
 corners of the squares of half-width 1 and 1/2.  Their unit-step weights
 D_Z, D_ZBAR and D_ZZBAR are the central first differences and the compact
-9-point Laplacian, each with one Richardson step folded in.  Each operator is
-one weighted sum over f(z + STEP*OFFSETS), added left to right: a Python
-number z calls f once per offset, without numpy; an ndarray z calls f once on
-every offset of every point.  The step STEP = 1e-4 balances truncation
-against rounding noise.
+9-point Laplacian, each with one Richardson step folded in.  Each operator
+builds its row of 17 weights once per call, from nu*zbar and the parts at
+step STEP formed at import, and sums the weighted values f(z + STEP*OFFSETS)
+left to right: a Python number z calls f once per offset, without numpy; an
+ndarray z calls f once on every offset of every point.  The step STEP = 1e-4
+balances truncation against rounding noise.  psi_{m,n} forms the constants of
+a mode once per (m, n, nu, alpha), so the 17 calls of a stencil share them.
 """
 
 import cmath
+import functools
 import math
-from collections import namedtuple
+import sys
 
 from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _is_number, _mul, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
@@ -52,6 +55,8 @@ SAMPLE_Z = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j, 0.65 - 0.75j, 0.5 + 1.0j)
 # numpy divides a complex array by a real number as the product with its
 # reciprocal; the weights multiply by it on both routes
 _INV_STEP = 1.0 / STEP
+# exp(x) is a normal double for x in [_LOG_MIN, _LOG_MAX]
+_LOG_MIN, _LOG_MAX, _LN2 = math.log(sys.float_info.min), math.log(sys.float_info.max), math.log(2.0)
 
 # Offsets in units of STEP, by ring: the centre (ring 0), then the edges and
 # corners of the squares of half-width 1 (rings 1, 2) and 1/2 (rings 3, 4).
@@ -59,6 +64,7 @@ _EDGES = (1 + 0j, -1 + 0j, 1j, -1j)
 _CORNERS = (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
 OFFSETS = (0j, *_EDGES, *_CORNERS, *(e / 2 for e in _EDGES), *(c / 2 for c in _CORNERS))
 _RING = (0,) + (1,) * 4 + (2,) * 4 + (3,) * 4 + (4,) * 4
+_NODES = tuple(STEP * o for o in OFFSETS)
 # Unit-step weights on OFFSETS; at step h the first derivatives scale by 1/h
 # and the mixed one by 1/h^2.  Each folds in one Richardson step,
 # (4 D(h/2) - D(h)) / 3, which cancels the O(h^2) term of the central rules.
@@ -66,31 +72,53 @@ CENTRE = tuple(float(r == 0) for r in _RING)
 D_ZBAR = tuple(o * (0.0, -1 / 12, 0.0, 4 / 3, 0.0)[r] for o, r in zip(OFFSETS, _RING))
 D_Z = tuple(d.conjugate() for d in D_ZBAR)
 D_ZZBAR = tuple((-25 / 6, -1 / 18, -1 / 72, 8 / 9, 2 / 9)[r] for r in _RING)
-# One row of Python numbers per offset; a weight function reads it as
-# weight(zbar, row), for a Python complex zbar or an ndarray of them.
-_Stencil = namedtuple("_Stencil", "offset centre d_z d_zbar d_zzbar")
-_ROWS = tuple(map(_Stencil, OFFSETS, CENTRE, D_Z, D_ZBAR, D_ZZBAR))
+# The parts of the weights at STEP that do not depend on z.
+_D_ZBAR_STEP = tuple(d * _INV_STEP for d in D_ZBAR)
+_D_Z_STEP = tuple(d * _INV_STEP for d in D_Z)
+_D_ZZBAR_STEP = tuple(d / STEP**2 for d in D_ZZBAR)
+
+
+# typed: a parameter of another numeric type (np.float32, say) keeps its own arithmetic
+@functools.lru_cache(maxsize=256, typed=True)
+def _mode_constants(m, n, nu, alpha):
+    """psi_{m,n}'s constants: expo = k0 + half*z^2 + lin*z, xi = s*Im z + t, and its name."""
+    c = alpha + n
+    log_norm = -0.5 * (m * math.log(2.0) + math.lgamma(m + 1)) + 0.25 * math.log(2.0 * nu / math.pi)
+    return (log_norm - (math.pi**2 / nu) * c * c, 0.5 * nu, 2j * math.pi * c, math.sqrt(2.0 * nu),
+            math.sqrt(2.0 / nu) * math.pi * c, f"psi_{{{m},{n}}}")
 
 
 def basis_psi_mn(m, n, z, params):
     """Orthonormal Landau eigenmode psi_{m,n}(z) of level m and Fourier index n.
 
-    The normalization exponent is assembled in log space and combined with
-    the mode exponent inside a single exp call.  Levels m > 40 are rejected:
-    beyond that the constants leave the range where doubles are reliable.
+    The normalization exponent is assembled in log space and combined with the
+    mode exponent inside a single exp call, from constants formed once per
+    (m, n, nu, alpha).  Where that exponent leaves exp's normal range, H_m's
+    binary exponent moves into it first, so a subnormal exp loses no digits.
+    Levels m > 40 are rejected: beyond that the constants leave the range
+    where doubles are reliable.  A non-integral n raises DomainError.
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"level must be a nonnegative integer, got {m}")
-    if m > MAX_LEVEL:
-        raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
-    m, n = int(m), int(n)
-    nu, alpha = params.nu, params.alpha
+    if not (type(m) is int and 0 <= m <= MAX_LEVEL):
+        if m < 0 or m != int(m):
+            raise DomainError(f"level must be a nonnegative integer, got {m}")
+        if m > MAX_LEVEL:
+            raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
+        m = int(m)
+    n = n if type(n) is int else _index(n)
+    k0, half, lin, s, t, name = _mode_constants(m, n, params.nu, params.alpha)
     z = _as_complex(z)
-    c = alpha + n
-    log_norm = -0.5 * (m * math.log(2.0) + math.lgamma(m + 1)) + 0.25 * math.log(2.0 * nu / math.pi)
-    expo = log_norm - (math.pi**2 / nu) * c * c + _mul(0.5 * nu * z, z) + 2j * math.pi * c * z
-    xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * c
-    return _finite(_exp(expo) * hermite_poly(m, xi), f"psi_{{{m},{n}}}")
+    expo = k0 + _mul(half * z, z) + lin * z
+    h = hermite_poly(m, s * z.imag + t)
+    if type(z) is complex:
+        if not _LOG_MIN <= expo.real <= _LOG_MAX:
+            h, e = math.frexp(h)
+            expo += e * _LN2
+    else:
+        outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
+        if outside.any():
+            mantissa, e = np.frexp(h)
+            expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
+    return _finite(_exp(expo) * h, name)
 
 
 class LandauElement(_Expansion):
@@ -136,39 +164,39 @@ class LandauElement(_Expansion):
         return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == int(m)})
 
 
-def _apply(f, z, weight):
-    """Stencil sum over the rows of weight(zbar, row) * f(z + STEP*row.offset),
-    left to right.  A Python number z calls f once per offset, on a Python
-    number; an ndarray z calls f once on the offsets of every point."""
+def _apply(f, z, nu, weights):
+    """Stencil sum of w_k * f(z + STEP*OFFSETS[k]) left to right, with the 17
+    weights w_k = weights(nu*zbar)[k].  A Python number z calls f once per
+    offset, on a Python number; an ndarray z calls f once on the offsets of
+    every point."""
     if _is_number(z):
         z, vals = complex(z), []
-        for row in _ROWS:
-            node = z + STEP * row.offset
-            vals.append(complex(f(node)))
-            if not cmath.isfinite(vals[-1]):
-                raise EvaluationError(f"f returned a non-finite value at node {node}")
+        for step in _NODES:
+            value = complex(f(z + step))
+            if not cmath.isfinite(value):
+                raise EvaluationError(f"f returned a non-finite value at node {z + step}")
+            vals.append(value)
     else:
         z = np.asarray(z, dtype=complex)
-        vals = np.moveaxis(_evaluate_on(f, z[..., None] + STEP * np.array(OFFSETS), "f"), -1, 0)
-    zbar = z.conjugate()
-    terms = [_mul(value, weight(zbar, row)) for value, row in zip(vals, _ROWS)]
+        vals = np.moveaxis(_evaluate_on(f, z[..., None] + np.array(_NODES), "f"), -1, 0)
+    terms = [_mul(value, w) for value, w in zip(vals, weights(nu * z.conjugate()))]
     out = sum(terms[1:], terms[0])
     return out if isinstance(z, complex) or z.ndim else complex(out)
 
 
 def annihilation_apply(f, z):
     """Finite-difference action of A = d/dzbar."""
-    return _apply(f, z, lambda zbar, s: s.d_zbar * _INV_STEP)
+    return _apply(f, z, 0.0, lambda nz: _D_ZBAR_STEP)
 
 
 def creation_apply(f, z, params):
     """Finite-difference action of A^* = -d/dz + nu*zbar."""
-    return _apply(f, z, lambda zbar, s: params.nu * zbar * s.centre - s.d_z * _INV_STEP)
+    return _apply(f, z, params.nu, lambda nz: [nz * c - d for c, d in zip(CENTRE, _D_Z_STEP)])
 
 
 def landau_apply(f, z, params):
     """Finite-difference action of L = -d^2/(dz dzbar) + nu*zbar*d/dzbar."""
-    return _apply(f, z, lambda zbar, s: params.nu * zbar * s.d_zbar * _INV_STEP - s.d_zzbar / STEP**2)
+    return _apply(f, z, params.nu, lambda nz: [nz * d * _INV_STEP - dd for d, dd in zip(D_ZBAR, _D_ZZBAR_STEP)])
 
 
 def eigen_residual(m, n, params, points):

@@ -32,6 +32,19 @@ def test_hermite_matches_scipy():
         assert np.allclose(ours, ref, rtol=1e-10, atol=1e-8)
 
 
+def test_hermite_equals_the_plain_recurrence_at_every_degree():
+    # the recurrence as written, 2.0*x*h - 2.0*k*h_prev, at degrees below and past the table of factors 2k
+    xs = np.linspace(-9.0, 9.0, 37)
+    for m in range(71):
+        ref = []
+        for x in xs:
+            h_prev, h = 1.0, 2.0 * x
+            for k in range(1, m):
+                h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+            ref.append(h if m else 1.0)
+        assert [hermite_poly(m, float(x)) for x in xs] == ref == list(hermite_poly(m, xs)), m
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(min_value=1, max_value=30), x=st.floats(min_value=-5.0, max_value=5.0))
 def test_hermite_recurrence_property(m, x):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -39,6 +40,11 @@ def test_level_validation():
         basis_psi_mn(41, 0, 0.1, PARAMS)
     with pytest.raises(DomainError):
         basis_psi_mn(1.5, 0, 0.1, PARAMS)
+    # a fractional Fourier index raises, as LandauElement's keys do, instead of truncating to psi_{1,0}
+    with pytest.raises(DomainError, match="mode index must be an integer"):
+        basis_psi_mn(1, 0.5, 0.2 + 0.1j, SpaceParams(2.0, 0.3))
+    assert basis_psi_mn(1, np.int64(2), 0.2 + 0.1j, PARAMS) == basis_psi_mn(1, 2, 0.2 + 0.1j, PARAMS)
+    assert basis_psi_mn(np.int64(2), 2.0, 0.2 + 0.1j, PARAMS) == basis_psi_mn(2, 2, 0.2 + 0.1j, PARAMS)
 
 
 def test_eigenmode_against_direct_formula():
@@ -54,6 +60,30 @@ def test_eigenmode_against_direct_formula():
         ref = norm * np.exp(0.5 * nu * z**2 + 2j * math.pi * c * z) * scipy.special.eval_hermite(m, xi)
         ours = basis_psi_mn(m, n, z, PARAMS)
         assert abs(ours - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _mp_psi_mn(m, n, z, params):
+    """psi_{m,n}(z) in 60-digit arithmetic, straight from the closed form."""
+    with mpmath.workdps(60):
+        nu, c, z = mpmath.mpf(params.nu), mpmath.mpf(params.alpha) + n, mpmath.mpc(z)
+        norm = (2**m * mpmath.factorial(m)) ** -0.5 * (2 * nu / mpmath.pi) ** 0.25
+        xi = mpmath.sqrt(2 * nu) * z.imag + mpmath.sqrt(2 / nu) * mpmath.pi * c
+        expo = -(mpmath.pi**2 / nu) * c * c + nu / 2 * z * z + 2j * mpmath.pi * c * z
+        return complex(norm * mpmath.exp(expo) * mpmath.hermite(m, xi))
+
+
+@pytest.mark.parametrize("m, n, nu, alpha, z", [
+    (35, 5, 7.627848637386841, -0.4282056115170745, 0.24005898906092626 - 17.265737852714814j),
+    (40, 5, 0.392, -0.213, 0.223 + 3.659j),
+    (25, -1, 1.968, -0.455, 0.999 - 22.562j),
+])
+def test_subnormal_exponential_keeps_the_digits(m, n, nu, alpha, z):
+    # exp(expo) is subnormal (Re expo < -708) while H_m(xi) is large and psi is a normal number
+    params = SpaceParams(nu, alpha)
+    ref = _mp_psi_mn(m, n, z, params)
+    value = basis_psi_mn(m, n, z, params)
+    assert abs(ref) > 1e-300 and abs(value - ref) <= 1e-12 * abs(ref)
+    assert basis_psi_mn(m, n, np.array([z, 0.3 + 0.1j]), params)[0] == value
 
 
 def test_eigen_residuals():
@@ -74,6 +104,31 @@ def test_ladder_constants_finite_difference():
             up = creation_apply(lambda w: basis_psi_mn(m, n, w, PARAMS), z, PARAMS)
             ref = -1j * math.sqrt(PARAMS.nu * (m + 1)) * basis_psi_mn(m + 1, n, z, PARAMS)
             assert abs(up - ref) <= 1e-5 * max(1.0, abs(ref))
+
+
+# landau_apply, creation_apply and annihilation_apply of psi_{m,1} at nu = 2.7, alpha = 0.3, z = 0.37-1.1i,
+# as (re, im) float.hex pairs: a change to the order of the stencil's or the mode's arithmetic shows here
+PINNED = {
+    0: (("-0x1.2000000000000p-23", "0x1.d000000000000p-22"), ("0x1.2a1dd71eb1000p+3", "0x1.b6afe254a8000p+1"),
+        ("-0x1.0000000000000p-36", "0x0.0p+0")),
+    3: (("0x1.004cfdf800000p+3", "-0x1.5c58a51e00000p+4"), ("-0x1.a17c52a2bb000p+3", "-0x1.332bc84bb4800p+2"),
+        ("-0x1.c3ae1c7883000p+2", "-0x1.4c5481e373000p+1")),
+    23: (("0x1.06c0beadc0000p+4", "-0x1.651d981680000p+5"), ("0x1.3bb5727d24c00p+4", "0x1.d09312085f900p+2"),
+         ("0x1.5555d6e9d1f00p+4", "0x1.f648e01107d00p+2")),
+    40: (("0x1.014ae00c20000p+6", "-0x1.5db1b4c440000p+7"), ("0x1.fdeacdc7c5c00p+3", "0x1.772dca85d1a00p+2"),
+         ("0x1.38acbbb62ae00p+4", "0x1.cc1c1d163fa00p+2")),
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED))
+def test_stencil_values_are_pinned_to_the_bit(m):
+    params, z = SpaceParams(2.7, 0.3), 0.37 - 1.1j
+    psi = lambda w: basis_psi_mn(m, 1, w, params)
+    values = (landau_apply(psi, z, params), creation_apply(psi, z, params), annihilation_apply(psi, z))
+    assert [(v.real.hex(), v.imag.hex()) for v in values] == list(PINNED[m])
+    arrays = (landau_apply(psi, np.array([z]), params), creation_apply(psi, np.array([z]), params),
+              annihilation_apply(psi, np.array([z])))
+    assert [a[0] for a in arrays] == list(values)
 
 
 def _operators(params):

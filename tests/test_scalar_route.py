@@ -9,6 +9,7 @@ dataclasses, fractions, csv or thetafock.verify; and no module of the
 package loads dataclasses at all.
 """
 
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from thetafock.bargmann import (
     generating_kernel_G,
     generating_kernel_sum,
 )
+from thetafock.core import hermite_poly
 from thetafock.fock import (
     FockElement,
     SpaceParams,
@@ -172,14 +174,34 @@ def _cases(rng):
         yield "pointwise_bound", lambda x: pointwise_bound(x, params) + 0j, z  # a real value, as a complex
 
 
+def _level_cases(rng):
+    """The stencils of psi_{m,n} at levels up to MAX_LEVEL = 40, near the mode's bump and out to where its
+    exponential is subnormal, and hermite_poly at degrees 0..70 on real x."""
+    for _ in range(30):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))), float(rng.uniform(-0.5, 0.5)))
+        m, n = int(rng.integers(0, 41)), int(rng.integers(-5, 6))
+        width = math.sqrt((2 * m + 1) / params.nu)
+        y0 = -math.pi * (n + params.alpha) / params.nu
+        z = complex(rng.uniform(0.0, 1.0), y0 + rng.uniform(-2.0, 2.0) * width)
+        far = complex(z.real, y0 + rng.choice((-1.0, 1.0)) * rng.uniform(4.0, 6.0) * width)
+        psi = lambda x, m=m, n=n, params=params: basis_psi_mn(m, n, x, params)
+        yield "landau_apply to level 40", lambda x, psi=psi, params=params: landau_apply(psi, x, params), z
+        yield "creation_apply to level 40", lambda x, psi=psi, params=params: creation_apply(psi, x, params), z
+        yield "annihilation_apply to level 40", lambda x, psi=psi: annihilation_apply(psi, x), z
+        yield "basis_psi_mn far from the bump", psi, far
+    for m in range(71):
+        scale = float(rng.uniform(-1.2, 1.2)) * math.sqrt(2 * m + 1)
+        yield "hermite_poly", lambda x, m=m, scale=scale: hermite_poly(m, scale * x.real) + 0j, complex(rng.uniform())
+
+
 def test_scalar_equals_array_to_the_last_bit():
     seen = set()
-    for name, f, z in _cases(np.random.default_rng(2024)):
+    for name, f, z in itertools.chain(_cases(np.random.default_rng(2024)), _level_cases(np.random.default_rng(2025))):
         scalar, array = f(z), f(np.array([z]))
         assert isinstance(scalar, complex) and array.shape == (1,)
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
-    assert len(seen) == 21
+    assert len(seen) == 21 + 5
 
 
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z
