@@ -7,14 +7,14 @@ center index until the tails are certified relative to the sum, and a sum
 that cancels below its rounding raises instead of returning.
 
 Every module takes numpy as `np` from here, imported lazily: it executes on
-first use.  A Python number (numpy scalars too) takes the scalar route, plain
-complex/cmath/math; an ndarray the array route; one formula serves both.
-_is_number picks the route: complex, float and int by exact type (~0.04 us),
-other types by the numbers ABCs (~0.8 us each through ABCMeta's isinstance;
-a scalar mode asks four times).  Only exp and the reductions dispatch; _mul
-rounds a product as Python's complex type on both routes (numpy may fuse its
-multiply-add), and series are summed left to right on both, so a scalar value
-equals its array counterpart to the last bit.
+first use.  A Python number, a numpy scalar or a 0-d array takes the scalar
+route, plain complex/cmath/math; any other ndarray the array route; one formula
+serves both.  _as_complex picks the route once per entry point: complex, float
+and int by exact type (~0.04 us), other types by the numbers ABCs (~0.8 us each
+through ABCMeta's isinstance), and an array by np.ndim.  Only exp and the
+reductions dispatch; _mul rounds a product as Python's complex type on both
+routes (numpy may fuse its multiply-add), and series are summed left to right
+on both, so a scalar value equals its array counterpart to the last bit.
 
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
@@ -95,8 +95,8 @@ def _is_number(x, real=False):
 
 
 def _as_complex(z):
-    """z as a Python complex (scalar route) or a complex ndarray (array route)."""
-    return complex(z) if _is_number(z) else np.asarray(z, dtype=complex)
+    """z as a Python complex (scalar route: a number or a 0-d array) or a complex ndarray (array route)."""
+    return complex(z) if _is_number(z) or np.ndim(z) == 0 else np.asarray(z, dtype=complex)
 
 
 def _quiet(x):
@@ -128,11 +128,11 @@ def _reduce(name, x):
 
 
 def _finite(vals, what):
-    """vals as a complex scalar (also for a 0-d array) or complex ndarray; raises
-    OverflowError naming `what` if any entry left the double range (inf or nan)."""
+    """vals as a complex scalar or complex ndarray; raises OverflowError naming
+    `what` if any entry left the double range (inf or nan)."""
     if type(vals) is complex and cmath.isfinite(vals):
         return vals
-    scalar = _is_number(vals) or np.ndim(vals) == 0
+    scalar = _is_number(vals)
     vals = complex(vals) if scalar else np.asarray(vals, dtype=complex)
     if not (cmath.isfinite(vals) if scalar else np.all(np.isfinite(vals))):
         raise OverflowError(f"{what} overflowed the double range")
@@ -143,21 +143,21 @@ def hermite_poly(m, x):
     """Physicists' Hermite polynomial H_m(x) by upward recurrence.
 
     H_0 = 1, H_1 = 2x, H_{m+1} = 2x H_m - 2m H_{m-1}, for every degree m.
-    Accepts scalar or ndarray x.  Raises OverflowError if the recurrence
-    leaves the double range (large m with large x).
+    Accepts scalar (a 0-d array too) or ndarray x.  Raises OverflowError if
+    the recurrence leaves the double range (large m with large x).
     """
     if type(m) is not int or m < 0:
         if m < 0 or m != int(m):
             raise DomainError(f"Hermite degree must be a nonnegative integer, got {m}")
         m = int(m)
-    if scalar := _is_number(x, real=True):
+    if scalar := _is_number(x, real=True) or np.ndim(x) == 0:
         out = _hermite(m, float(x), 1.0)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
             out = _hermite(m, np.asarray(x, dtype=float), np.ones(np.shape(x)))
     if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
         raise OverflowError(f"Hermite recurrence overflowed at degree {m}")
-    return out if scalar or np.ndim(x) else float(out)
+    return out
 
 
 def _hermite(m, x, h_prev):

@@ -57,7 +57,7 @@ class SpaceParams(namedtuple("SpaceParams", "nu alpha")):
             raise DomainError(f"nu must be positive and finite, got {nu}")
         if not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite, got {alpha}")
-        return super().__new__(cls, nu, alpha)
+        return super().__new__(cls, float(nu), float(alpha))
 
 
 def _index(value):
@@ -118,8 +118,7 @@ class _Expansion:
         z = _as_complex(z)
         zero = 0j if isinstance(z, complex) else np.zeros(z.shape, dtype=complex)
         with _quiet(z):  # a value that left the double range is reported by _finite
-            total = _finite(sum(self._parts(z) if self.coeffs else (), zero), "element value")
-        return total if isinstance(z, complex) or z.ndim else complex(total)
+            return _finite(sum(self._parts(z) if self.coeffs else (), zero), "element value")
 
     __call__ = evaluate
 
@@ -166,19 +165,19 @@ class _Expansion:
 
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
-    z = _as_complex(z)
+    n, z = n if type(n) is int else _index(n), _as_complex(z)
     return _finite(_exp(_mul(0.5 * params.nu * z, z) + 2j * math.pi * (params.alpha + n) * z), f"e_{n}")
 
 
 def e_norm(n, params):
     """Closed-form norm ||e_n|| = (pi/(2 nu))^(1/4) exp((pi^2/nu)(n+alpha)^2)."""
-    c = n + params.alpha
+    c = (n if type(n) is int else _index(n)) + params.alpha
     return (math.pi / (2.0 * params.nu)) ** 0.25 * math.exp((math.pi**2 / params.nu) * c * c)
 
 
 def basis_psi(n, z, params):
     """Orthonormal mode psi_n = e_n / ||e_n||, assembled in a single exponential."""
-    z = _as_complex(z)
+    n, z = n if type(n) is int else _index(n), _as_complex(z)
     c = params.alpha + n
     expo = _mul(0.5 * params.nu * z, z) + 2j * math.pi * c * z - (math.pi**2 / params.nu) * c * c
     return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")

@@ -44,7 +44,7 @@ import functools
 import math
 import sys
 
-from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _is_number, _mul, hermite_poly, np
+from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
 from .quadrature import _evaluate_on
 
@@ -78,8 +78,7 @@ _D_Z_STEP = tuple(d * _INV_STEP for d in D_Z)
 _D_ZZBAR_STEP = tuple(d / STEP**2 for d in D_ZZBAR)
 
 
-# typed: a parameter of another numeric type (np.float32, say) keeps its own arithmetic
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=256)
 def _mode_constants(m, n, nu, alpha):
     """psi_{m,n}'s constants: expo = k0 + half*z^2 + lin*z, xi = s*Im z + t, and its name."""
     c = alpha + n
@@ -113,12 +112,13 @@ def basis_psi_mn(m, n, z, params):
         if not _LOG_MIN <= expo.real <= _LOG_MAX:
             h, e = math.frexp(h)
             expo += e * _LN2
-    else:
-        outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
-        if outside.any():
-            mantissa, e = np.frexp(h)
-            expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
-    return _finite(_exp(expo) * h, name)
+        return _finite(_exp(expo) * h, name)
+    outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
+    if outside.any():
+        mantissa, e = np.frexp(h)
+        expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised by _finite
+        return _finite(np.exp(expo) * h, name)
 
 
 class LandauElement(_Expansion):
@@ -169,19 +169,18 @@ def _apply(f, z, nu, weights):
     weights w_k = weights(nu*zbar)[k].  A Python number z calls f once per
     offset, on a Python number; an ndarray z calls f once on the offsets of
     every point."""
-    if _is_number(z):
-        z, vals = complex(z), []
+    z = _as_complex(z)
+    if type(z) is complex:
+        vals = []
         for step in _NODES:
             value = complex(f(z + step))
             if not cmath.isfinite(value):
                 raise EvaluationError(f"f returned a non-finite value at node {z + step}")
             vals.append(value)
     else:
-        z = np.asarray(z, dtype=complex)
         vals = np.moveaxis(_evaluate_on(f, z[..., None] + np.array(_NODES), "f"), -1, 0)
     terms = [_mul(value, w) for value, w in zip(vals, weights(nu * z.conjugate()))]
-    out = sum(terms[1:], terms[0])
-    return out if isinstance(z, complex) or z.ndim else complex(out)
+    return sum(terms[1:], terms[0])
 
 
 def annihilation_apply(f, z):

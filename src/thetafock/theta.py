@@ -24,20 +24,19 @@ vectorized window -N..N with N set by Im tau and budget.tol in closed form
 the tail left out is below budget.tol * sum |term| of the window; N above
 budget.max_terms raises TruncationError.  Near a zero of theta the window
 cancels to its rounding, eps * sum |term|, which is what is certified there:
-nothing is raised.  The window's terms are added left to right, as Python
-complexes for a Python number and as arrays over _CHUNK points at a time, so
-both give the same bits; the rounding, below 2N eps * sum |term|, stays far
-under the certified tail.
+nothing is raised.  The window's terms are added left to right in a running
+sum, as Python complexes for a Python number and as arrays over every point
+in one pass, one term array alive at a time, so both give the same bits; the
+rounding, below 2N eps * sum |term|, stays far under the certified tail.
 """
 
 import cmath
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _is_number, _mul, np
-
-_CHUNK = 1024
 
 
 class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
@@ -94,26 +93,21 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     E = E + 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
     z = z + n0 * tau
     quad, lin = 1j * math.pi * tau, 2j * math.pi
-    terms = [_exp(quad * k * k + lin * k * z) for k in _window(tau.imag, budget.tol, budget.max_terms)]
-    return E, sum(terms[1:], terms[0])
+    terms = (_exp(quad * k * k + lin * k * z) for k in _window(tau.imag, budget.tol, budget.max_terms))
+    return E, reduce(add, terms)  # S = t_0, then S = S + t_k: left to right, one term alive at a time
 
 
 def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     """exp(logpref) * theta_{alpha,beta}(z | tau) through _theta_exp, as a complex
     scalar or ndarray; OverflowError naming `what` outside the double range.
-    Python numbers take the scalar route; arrays go through in chunks of
-    _CHUNK points, so temporaries stay small."""
+    Python numbers take the scalar route, with no numpy; arrays go through in
+    one pass, with one term array of the window alive at a time."""
     if _is_number(z) and _is_number(logpref):
         E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
         return _finite(_mul(_exp(E), S), what)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, logpref = np.broadcast_arrays(z, logpref)
-        out = np.empty(z.shape, dtype=complex)
-        zs, ls, outs = z.reshape(-1), logpref.reshape(-1), out.reshape(-1)
-        for i in range(0, zs.size, _CHUNK):
-            E, S = _theta_exp(alpha, beta, tau, zs[i : i + _CHUNK], budget, ls[i : i + _CHUNK], invert)
-            outs[i : i + _CHUNK] = _mul(np.exp(E), S)
-        return _finite(out, what)
+        E, S = _theta_exp(alpha, beta, tau, z, budget, logpref, invert)
+        return _finite(_mul(np.exp(E), S), what)
 
 
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):

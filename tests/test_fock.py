@@ -26,7 +26,7 @@ from thetafock.fock import (
     theta_member,
     theta_membership,
 )
-from thetafock.landau import LandauElement
+from thetafock.landau import LandauElement, basis_psi_mn
 from thetafock.quadrature import StripScheme, strip_inner_product
 from thetafock.theta import ThetaArgs
 
@@ -40,6 +40,26 @@ def test_space_params_validation():
         SpaceParams(-1.0, 0.3)
     with pytest.raises(DomainError):
         SpaceParams(math.pi, math.inf)
+
+
+def test_space_params_store_python_floats():
+    # a np.float32 nu would keep float32 arithmetic through numpy's promotion rules
+    narrow, wide = SpaceParams(np.float32(0.5), 0.3), SpaceParams(0.5, 0.3)
+    assert repr(narrow) == "SpaceParams(nu=0.5, alpha=0.3)"
+    assert basis_psi_mn(3, 1, 0.3 + 0.2j, narrow) == basis_psi_mn(3, 1, 0.3 + 0.2j, wide)
+    assert basis_psi(1, 0.3 + 0.2j, narrow) == basis_psi(1, 0.3 + 0.2j, wide)
+
+
+@pytest.mark.parametrize("mode", [
+    lambda n: basis_psi(n, 0.2 + 0.1j, SpaceParams(2.0, 0.3)),
+    lambda n: basis_e(n, 0.2 + 0.1j, SpaceParams(2.0, 0.3)),
+    lambda n: e_norm(n, SpaceParams(2.0, 0.3)),
+    lambda n: phi_basis(n, 0.4, 0.3),
+], ids=["basis_psi", "basis_e", "e_norm", "phi_basis"])
+def test_mode_index_must_be_an_integer(mode):
+    with pytest.raises(DomainError, match="mode index must be an integer"):
+        mode(0.5)
+    assert mode(np.int64(2)) == mode(2)
 
 
 def test_e_norm_closed_form_vs_quadrature():

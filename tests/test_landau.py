@@ -1,6 +1,7 @@
 """Landau operator: eigenmodes, finite differences, ladder bookkeeping."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -45,6 +46,14 @@ def test_level_validation():
         basis_psi_mn(1, 0.5, 0.2 + 0.1j, SpaceParams(2.0, 0.3))
     assert basis_psi_mn(1, np.int64(2), 0.2 + 0.1j, PARAMS) == basis_psi_mn(1, 2, 0.2 + 0.1j, PARAMS)
     assert basis_psi_mn(np.int64(2), 2.0, 0.2 + 0.1j, PARAMS) == basis_psi_mn(2, 2, 0.2 + 0.1j, PARAMS)
+
+
+@pytest.mark.parametrize("z", [40 + 0.1j, np.array([40 + 0.1j]), np.array([0.2, 40 + 0.1j])])
+def test_overflow_raises_with_no_warning_first(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"psi_\{3,1\} overflowed the double range"):
+            basis_psi_mn(3, 1, z, SpaceParams(1.0, 0.3))
 
 
 def test_eigenmode_against_direct_formula():

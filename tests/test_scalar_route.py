@@ -25,6 +25,7 @@ from thetafock.bargmann import (
     bargmann_kernel_A,
     generating_kernel_G,
     generating_kernel_sum,
+    phi_basis,
 )
 from thetafock.core import hermite_poly
 from thetafock.fock import (
@@ -36,9 +37,10 @@ from thetafock.fock import (
     pointwise_bound,
     quasiperiod_factor,
     reproducing_kernel,
+    theta_member,
 )
 from thetafock.landau import LandauElement, annihilation_apply, basis_psi_mn, creation_apply, landau_apply
-from thetafock.theta import ThetaArgs, riemann_theta, theta3_inversion_rhs, theta3_periodicity_factor
+from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta, theta3_inversion_rhs, theta3_periodicity_factor
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -244,3 +246,38 @@ def test_python_numbers_never_reach_the_numbers_abcs(monkeypatch):
     assert [f(x) for _, f, x in cases] == expected
     with pytest.raises(AssertionError, match="numbers.Complex was asked"):
         riemann_theta(ThetaArgs(0.3, 0.1, 0.2 + 0.7j), np.float64(0.4))
+
+
+_P = SpaceParams(2.0, 0.3)
+_PSI = lambda w: basis_psi_mn(2, 1, w, _P)
+# (f, v): each public function of a point z, q or x, at a value v inside its domain
+_ZERO_D = {
+    "riemann_theta": (lambda x: riemann_theta(ThetaArgs(0.3, 0.1, 0.2 + 0.7j), x), 0.3 + 0.2j),
+    "jacobi_theta3": (lambda x: jacobi_theta3(x, 0.1 + 0.4j), 0.3 + 0.2j),
+    "kernel theta": (lambda x: reproducing_kernel(x, 0.7 - 0.4j, _P), 0.3 + 0.2j),
+    "kernel sum": (lambda x: reproducing_kernel(0.7 - 0.4j, x, _P, path="sum"), 0.3 + 0.2j),
+    "G": (lambda x: generating_kernel_G(x, 0.5, _P), 0.3 + 0.2j),
+    "A": (lambda x: bargmann_kernel_A(x, 0.5, _P), 0.3 + 0.2j),
+    "generating sum": (lambda x: generating_kernel_sum(x, 0.5, _P), 0.3 + 0.2j),
+    "basis_psi": (lambda x: basis_psi(2, x, _P), 0.3 + 0.2j),
+    "basis_e": (lambda x: basis_e(2, x, _P), 0.3 + 0.2j),
+    "basis_psi_mn": (lambda x: basis_psi_mn(3, 1, x, _P), 0.3 + 0.2j),
+    "FockElement": (FockElement.from_psi_coeffs(_P, {-1: 0.5, 0: 1.0, 2: 0.3j}).evaluate, 0.3 + 0.2j),
+    "LandauElement": (LandauElement(_P, {(0, 1): 1.0, (2, -1): 0.5j}).evaluate, 0.3 + 0.2j),
+    "LineElement": (LineElement(0.3, {-1: 0.5, 0: 1.0, 2: 0.3j}).evaluate, 0.4),
+    "phi_basis": (lambda x: phi_basis(2, x, 0.3), 0.4),
+    "landau_apply": (lambda x: landau_apply(_PSI, x, _P), 0.3 + 0.2j),
+    "creation_apply": (lambda x: creation_apply(_PSI, x, _P), 0.3 + 0.2j),
+    "annihilation_apply": (lambda x: annihilation_apply(_PSI, x), 0.3 + 0.2j),
+    "hermite_poly": (lambda x: hermite_poly(5, x), 0.7),
+    "pointwise_bound": (lambda x: pointwise_bound(x, _P), 0.3 + 0.2j),
+    "theta_member": (theta_member(ThetaArgs(0.3, 0.1, 0.2 + 1.7j), _P), 0.3 + 0.2j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_D))
+def test_zero_dimensional_array_gives_the_python_number(name):
+    f, v = _ZERO_D[name]
+    kind = float if name in ("hermite_poly", "pointwise_bound") else complex
+    value = f(np.asarray(v))
+    assert type(value) is kind and repr(value) == repr(f(v))  # repr: the same bits, the sign of a zero too
