@@ -28,7 +28,7 @@ import math
 
 from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
 from .core import _as_complex, _exp, _finite, _mul, _reduce, np
-from .fock import FockElement, SpaceParams, _Expansion, _index, basis_psi
+from .fock import FockElement, SpaceParams, _Expansion, _index, basis_psi, pointwise_bound
 from .quadrature import SQRT2, _evaluate_on, _trapezoid_weights
 from .theta import _theta_value
 
@@ -120,29 +120,33 @@ def bargmann_transform_coeffs(elem, nu):
 def bargmann_pointwise(phi, z, params, budget=DEFAULT_BUDGET):
     """Transform value (B phi)(z) = integral of A(z; q) phi(q) over [0, sqrt(2)].
 
-    Trapezoid rule with interval doubling until two successive refinements
-    agree within budget.tol; the integrand is sqrt(2)-periodic so the rule
-    converges spectrally.  Agreement counts only where the rounding of the
-    sum, about eps * sum |node terms|, is below budget.tol as well.  Raises
-    TruncationError if MAX_INTERVALS is reached without agreement.
+    Trapezoid rule, nested: each doubling evaluates A and phi only at the n new
+    midpoints, T_2n = T_n / 2 + h_2n * sum over them, and carries sum |node term|
+    and ||phi||^2 on the line along the same way.  The integrand is
+    sqrt(2)-periodic, so the rule converges spectrally.  It stops once
+    |T_2n - T_n| and the rounding eps * sum |node term| are both below
+    budget.tol * max(|T_2n|, F), with F = K(z,z)^(1/2) ||phi|| >= |(B phi)(z)|
+    (B is unitary): relative to the value, or to its bound where it cancels.
+    Raises TruncationError if MAX_INTERVALS is reached first.
     """
     zz = complex(z)
 
-    def quad(n_intervals):
-        qs = np.linspace(0.0, SQRT2, n_intervals + 1)
-        w = _trapezoid_weights(n_intervals + 1, SQRT2)
+    def sums(qs, w):  # (sum of terms, sum |term|, ||phi||^2) of the rule with weights w on the nodes qs
         phiv = _evaluate_on(phi, qs, "phi")
         vals = bargmann_kernel_A(zz, qs, params, budget) * phiv * w
-        return complex(np.sum(vals)), _EPS * float(np.sum(np.abs(vals)))
+        return complex(np.sum(vals)), float(np.sum(np.abs(vals))), float(np.sum(np.abs(phiv) ** 2 * w))
 
     n = START_INTERVALS
-    prev, _ = quad(n)
+    total, absum, norm2 = sums(np.linspace(0.0, SQRT2, n + 1), _trapezoid_weights(n + 1, SQRT2))
+    bound = pointwise_bound(zz, params, budget)
     while n < MAX_INTERVALS:
-        n *= 2
-        cur, rounding = quad(n)
-        if abs(cur - prev) <= budget.tol and rounding <= budget.tol:
-            return cur
-        prev = cur
+        h = SQRT2 / (2 * n)
+        mid, mid_abs, mid_norm2 = sums(h * np.arange(1, 2 * n, 2), h)
+        prev, total = total, 0.5 * total + mid
+        absum, norm2, n = 0.5 * absum + mid_abs, 0.5 * norm2 + mid_norm2, 2 * n
+        scale = budget.tol * max(abs(total), bound * math.sqrt(norm2))
+        if abs(total - prev) <= scale and _EPS * absum <= scale:
+            return total
     raise TruncationError(
         f"line integral did not stabilize within {MAX_INTERVALS} intervals (budget tol {budget.tol:.1e})"
     )

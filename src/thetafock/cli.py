@@ -18,6 +18,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 from .core import DEFAULT_BUDGET, DomainError, EvaluationError, TruncationBudget, TruncationError
@@ -307,7 +308,14 @@ def run_command(argv):
 
 def main(argv=None):
     code, text = run_command(sys.argv[1:] if argv is None else list(argv))
-    print(text, file=sys.stderr if code in (1, 64) else sys.stdout)
+    try:
+        print(text, file=sys.stderr if code in (1, 64) else sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`): exit 1 as for EPIPE, with stdout on devnull so that the
+        # flush at exit raises nothing more (Python's note on SIGPIPE in the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -13,8 +13,8 @@ serves both.  _as_complex picks the route once per entry point: complex, float
 and int by exact type (~0.04 us), other types by the numbers ABCs (~0.8 us each
 through ABCMeta's isinstance), and an array by np.ndim.  Only exp and the
 reductions dispatch; _mul rounds a product as Python's complex type on both
-routes (numpy may fuse its multiply-add), and series are summed left to right
-on both, so a scalar value equals its array counterpart to the last bit.
+routes (numpy may fuse its multiply-add), _imul in place, and a series adds in
+one order on both, so a scalar value equals its array counterpart to the bit.
 
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
@@ -64,9 +64,9 @@ class EvaluationError(ArithmeticError):
 class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
     """Truncation policy of every series: tol bounds the tail left out
     relative to sum |term|, and max_terms caps the one-sided terms.  The theta
-    window (theta._theta_exp) fixes its width from tol in closed form;
-    bilateral_sum stops on it and also raises once rounding, eps * sum |term|,
-    exceeds tol relative to the sum."""
+    window (theta._theta_exp) takes its width from tol in closed form and
+    walks it by term ratios; bilateral_sum stops on tol and raises once the
+    rounding, eps * sum |term|, exceeds tol relative to the sum."""
 
     __slots__ = ()
 
@@ -120,6 +120,14 @@ def _mul(a, b):
     product = 1j * a.imag * b
     product += a.real * b
     return product
+
+
+def _imul(a, b, scratch):
+    """a *= b in place, rounded as _mul, in a's float views and the float arrays `scratch`; returns a."""
+    (x, y), re, im = scratch, a.real, a.imag
+    np.multiply(re, b.imag, out=x), np.multiply(im, b.imag, out=y)
+    np.subtract(np.multiply(re, b.real, out=re), y, out=re), np.add(np.multiply(im, b.real, out=im), x, out=im)
+    return a
 
 
 def _reduce(name, x):

@@ -166,7 +166,7 @@ class _Expansion:
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
     n, z = n if type(n) is int else _index(n), _as_complex(z)
-    return _finite(_exp(_mul(0.5 * params.nu * z, z) + 2j * math.pi * (params.alpha + n) * z), f"e_{n}")
+    return _finite_exp(1.0, _mul(0.5 * params.nu * z, z) + 2j * math.pi * (params.alpha + n) * z, f"e_{n}")
 
 
 def e_norm(n, params):
@@ -180,7 +180,16 @@ def basis_psi(n, z, params):
     n, z = n if type(n) is int else _index(n), _as_complex(z)
     c = params.alpha + n
     expo = _mul(0.5 * params.nu * z, z) + 2j * math.pi * c * z - (math.pi**2 / params.nu) * c * c
-    return _finite((2.0 * params.nu / math.pi) ** 0.25 * _exp(expo), f"psi_{n}")
+    return _finite_exp((2.0 * params.nu / math.pi) ** 0.25, expo, f"psi_{n}")
+
+
+def _finite_exp(scale, expo, what):
+    """scale * exp(expo) through _finite.  An ndarray runs under np.errstate, as _finite reports its overflow; a
+    Python number enters no context manager, since the sum oracles call the modes term by term."""
+    if type(expo) is complex:
+        return _finite(scale * _exp(expo), what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(scale * np.exp(expo), what)
 
 
 def _psi_sum(params, keys, z, coeff, scale):

@@ -44,7 +44,7 @@ import functools
 import math
 import sys
 
-from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, hermite_poly, np
+from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, _quiet, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
 from .quadrature import _evaluate_on
 
@@ -168,7 +168,7 @@ def _apply(f, z, nu, weights):
     """Stencil sum of w_k * f(z + STEP*OFFSETS[k]) left to right, with the 17
     weights w_k = weights(nu*zbar)[k].  A Python number z calls f once per
     offset, on a Python number; an ndarray z calls f once on the offsets of
-    every point."""
+    every point.  A sum that leaves the double range raises OverflowError."""
     z = _as_complex(z)
     if type(z) is complex:
         vals = []
@@ -179,8 +179,9 @@ def _apply(f, z, nu, weights):
             vals.append(value)
     else:
         vals = np.moveaxis(_evaluate_on(f, z[..., None] + np.array(_NODES), "f"), -1, 0)
-    terms = [_mul(value, w) for value, w in zip(vals, weights(nu * z.conjugate()))]
-    return sum(terms[1:], terms[0])
+    with _quiet(z):  # a sum that left the double range is raised by _finite
+        terms = [_mul(value, w) for value, w in zip(vals, weights(nu * z.conjugate()))]
+        return _finite(sum(terms[1:], terms[0]), "finite-difference stencil")
 
 
 def annihilation_apply(f, z):

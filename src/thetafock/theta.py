@@ -18,25 +18,23 @@ exp(i*pi*alpha^2*tau + 2*i*pi*alpha*(z+beta)), the steps theta3(z | tau+1) =
 theta3(z+1/2 | tau) that keep Re tau in [-1/2, 1/2], the inversion law while
 |tau| < 1 (so Im tau >= sqrt(3)/2 at the end), and the term of each point's
 peak index n0 = round(-Im z / Im tau).  The rest has |Im z| <= Im tau / 2, a
-central term 1 and terms below exp(-pi*Im tau*|m|*(|m|-1)), so S is one
-vectorized window -N..N with N set by Im tau and budget.tol in closed form
-(Deconinck et al., Computing Riemann theta functions, Math. Comp. 73, 2004):
-the tail left out is below budget.tol * sum |term| of the window; N above
-budget.max_terms raises TruncationError.  Near a zero of theta the window
-cancels to its rounding, eps * sum |term|, which is what is certified there:
-nothing is raised.  The window's terms are added left to right in a running
-sum, as Python complexes for a Python number and as arrays over every point
-in one pass, one term array alive at a time, so both give the same bits; the
-rounding, below 2N eps * sum |term|, stays far under the certified tail.
+central term 1 and terms below exp(-pi*Im tau*|m|*(|m|-1)), so S sums the
+window -N..N with N set by Im tau and budget.tol in closed form (Deconinck et
+al., Computing Riemann theta functions, Math. Comp. 73, 2004): the tail left
+out is below budget.tol * sum |term| of the window; N above budget.max_terms
+raises TruncationError.  Near a zero of theta the window cancels to its
+rounding, eps * sum |term|, which is what is certified there.  Each side walks
+from t_0 = 1 by t_{+-(k+1)} = t_{+-k} r q^k, r = exp(i pi tau +- 2 i pi z),
+q = exp(2 i pi tau): two exps a point, |r|, |q| <= 1, so each intermediate is
+a true term; numbers walk in Python complexes, arrays in place (core._imul).
 """
 
 import cmath
 import math
 from collections import namedtuple
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _is_number, _mul, np
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _imul, _is_number, _mul, np
 
 
 class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
@@ -54,14 +52,14 @@ class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
 
 @lru_cache(maxsize=64)
 def _window(t, tol, max_terms):
-    """Indices -N..N, as Python floats, of the centred theta3 window at Im tau = t:
-    the least N whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
-    n = 0
+    """One-sided width N of the centred theta3 window -N..N at Im tau = t: the least N >= 1
+    whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
+    n = 1
     while 2.0 * math.exp(-math.pi * t * n * (n + 1)) > -tol * math.expm1(-2.0 * math.pi * t * (n + 1)):
         n += 1
         if n > max_terms:
             raise TruncationError(f"theta window needs more than {max_terms} one-sided terms at Im tau = {t:.3e}")
-    return tuple(float(k) for k in range(-n, n + 1))
+    return n
 
 
 def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
@@ -80,28 +78,42 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
         logpref = logpref + 2j * math.pi * float(a * (j - k * (a + 1) / 2) % 1)
         tau, beta = tau - k, float(shift - j)
     E = logpref + 1j * math.pi * alpha * (alpha * tau + 2.0 * (z + beta))
-    z = z + (beta + alpha * tau)
+    z = z + (beta + alpha * tau)  # an ndarray z is a fresh array from here on, updated in place
     while invert:
         k = round(tau.real)
         tau, z = tau - k, z + 0.5 * (k % 2)
         if abs(tau) >= 1.0:
             break
         z, inv = z - rint(z.real), -1.0 / tau  # theta3 is 1-periodic; a small Re z keeps z^2/tau exact
-        E = E + (0.5 * cmath.log(1j / tau) + _mul(_mul(1j * math.pi * z, z), inv))
+        E += 0.5 * cmath.log(1j / tau) + _mul(_mul(1j * math.pi * z, z), inv)
         z, tau = _mul(-z, inv), inv
     n0 = rint(-z.imag / tau.imag)
-    E = E + 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
-    z = z + n0 * tau
-    quad, lin = 1j * math.pi * tau, 2j * math.pi
-    terms = (_exp(quad * k * k + lin * k * z) for k in _window(tau.imag, budget.tol, budget.max_terms))
-    return E, reduce(add, terms)  # S = t_0, then S = S + t_k: left to right, one term alive at a time
+    E += 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
+    z += n0 * tau
+    n, quad, q = _window(tau.imag, budget.tol, budget.max_terms), 1j * math.pi * tau, cmath.exp(2j * math.pi * tau)
+    z *= 2j * math.pi
+    if isinstance(z, complex):
+        S = 1.0 + 0j
+        for r in (_exp(quad + z), _exp(quad - z)):
+            S, t = S + r, r
+            for _ in range(n - 1):
+                t = t * (r := r * q)
+                S = S + t
+        return E, S
+    S, t, scratch = np.ones(z.shape, dtype=complex), np.empty(z.shape, dtype=complex), (n0, np.empty(z.shape))
+    for r in (np.add(quad, z), np.subtract(quad, z, out=z)):  # n0's float array is spent: it is scratch
+        S += np.exp(r, out=r)
+        np.copyto(t, r)
+        for _ in range(n - 1):
+            S += _imul(t, _imul(r, q, scratch), scratch)
+    return E, S
 
 
 def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     """exp(logpref) * theta_{alpha,beta}(z | tau) through _theta_exp, as a complex
     scalar or ndarray; OverflowError naming `what` outside the double range.
     Python numbers take the scalar route, with no numpy; arrays go through in
-    one pass, with one term array of the window alive at a time."""
+    one pass, with the window walked in place."""
     if _is_number(z) and _is_number(logpref):
         E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
         return _finite(_mul(_exp(E), S), what)

@@ -209,6 +209,14 @@ def test_round_trip_composition():
     assert abs(forward_again - fock_elem.evaluate(0.3 + 0.2j)) <= 1e-8
 
 
+def test_pointwise_stops_relative_to_the_value():
+    # |psi_3(z)| ~ 1.8e6 here, so the rounding of the rule is far above an absolute 1e-12
+    params, z = SpaceParams(3.624, -0.494), 0.42 - 3.011j
+    value = bargmann_pointwise(lambda q: phi_basis(3, q, params.alpha), z, params)
+    ref = basis_psi(3, z, params)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
 def test_pointwise_budget_exhaustion():
     phi = lambda q: phi_basis(0, q, PARAMS.alpha)
     with pytest.raises(TruncationError):

@@ -294,6 +294,23 @@ def test_module_entry_point():
     assert bad.stderr.startswith("usage error:")
 
 
+@pytest.mark.parametrize("lines", (0, 1))
+def test_closed_stdout_ends_quietly(lines):
+    # `thetafock verify all | head -1`: the reader leaves after `lines` lines.  With no line read, no reader is
+    # left when the command writes, so it must exit 1; after one line the write may have gone through already.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetafock.__file__))}
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "thetafock.cli", "verify", "all"], env=env, stdout=write_end,
+                            stderr=subprocess.PIPE)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        if lines:
+            assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1 if lines == 0 else proc.returncode in (0, 1)
+
+
 def test_malformed_json_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 
 from thetafock.core import DomainError, EvaluationError, hermite_poly
-from thetafock.fock import SpaceParams, basis_psi
+from thetafock.fock import SpaceParams, basis_e, basis_psi
 from thetafock.landau import (
     OFFSETS,
     STEP,
@@ -50,10 +50,27 @@ def test_level_validation():
 
 @pytest.mark.parametrize("z", [40 + 0.1j, np.array([40 + 0.1j]), np.array([0.2, 40 + 0.1j])])
 def test_overflow_raises_with_no_warning_first(z):
+    params = SpaceParams(1.0, 0.3)
+    modes = ((r"psi_\{3,1\}", lambda: basis_psi_mn(3, 1, z, params)), ("e_1", lambda: basis_e(1, z, params)),
+             ("psi_1", lambda: basis_psi(1, z, params)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=r"psi_\{3,1\} overflowed the double range"):
-            basis_psi_mn(3, 1, z, SpaceParams(1.0, 0.3))
+        for name, mode in modes:
+            with pytest.raises(OverflowError, match=name + " overflowed the double range"):
+                mode()
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.1j, np.array([0.3 + 0.1j]), np.array([0.2, 0.3 + 0.1j])])
+def test_stencil_sum_overflow_raises_with_no_warning(z):
+    # f is finite at every node, but its weighted sum is not: each apply raises, none returns inf or nan
+    f = lambda w: np.full(np.shape(w), 1e306 + 0j) if np.ndim(w) else 1e306 + 0j
+    applies = (lambda: landau_apply(f, z, SpaceParams(2.0, 0.3)), lambda: creation_apply(f, z, SpaceParams(2.0, 0.3)),
+               lambda: annihilation_apply(f, z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for apply in applies:
+            with pytest.raises(OverflowError, match="finite-difference stencil overflowed the double range"):
+                apply()
 
 
 def test_eigenmode_against_direct_formula():

@@ -196,14 +196,24 @@ def _level_cases(rng):
         yield "hermite_poly", lambda x, m=m, scale=scale: hermite_poly(m, scale * x.real) + 0j, complex(rng.uniform())
 
 
+def _window_cases(rng):
+    """A, which keeps tau = i nu / pi without inversion, at nu = 0.05 and 0.3: Im tau ~ 0.016 and 0.1, windows of
+    about 25 and 10 terms a side, walked by the term ratios over the strip and off it."""
+    for nu in (0.05, 0.3):
+        for z in _points(rng, 25, im=3.0):
+            params, q = SpaceParams(nu, float(rng.uniform(-0.5, 0.5))), float(rng.uniform(0.0, math.sqrt(2.0)))
+            yield f"A at nu = {nu}", lambda x, params=params, q=q: bargmann_kernel_A(x, q, params), z
+
+
 def test_scalar_equals_array_to_the_last_bit():
     seen = set()
-    for name, f, z in itertools.chain(_cases(np.random.default_rng(2024)), _level_cases(np.random.default_rng(2025))):
+    for name, f, z in itertools.chain(_cases(np.random.default_rng(2024)), _level_cases(np.random.default_rng(2025)),
+                                      _window_cases(np.random.default_rng(2026))):
         scalar, array = f(z), f(np.array([z]))
         assert isinstance(scalar, complex) and array.shape == (1,)
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
-    assert len(seen) == 21 + 5
+    assert len(seen) == 21 + 5 + 2
 
 
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z

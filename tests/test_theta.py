@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -149,6 +150,19 @@ def test_window_follows_offcenter_peak():
     ours = jacobi_theta3(z, 1j)
     ref = brute_theta(0.0, 0.0, 1j, z, span=80)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
+
+
+def test_array_call_memory():
+    # the window walks in place: one call on 10^4 points holds about six complex arrays of that size
+    args, z = ThetaArgs(0.3, 0.1, 0.2 + 0.7j), np.linspace(0.0, 1.0, 10**4) + 1j * np.linspace(-1.5, 1.5, 10**4)
+    riemann_theta(args, z)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        riemann_theta(args, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25e6
 
 
 def test_overflow_reported():
