@@ -93,7 +93,7 @@ def main():
     # For the divergent case the failure is certifiable: log partial sums of
     # the norm series keep climbing without bound.
     targs = ThetaArgs(params.alpha, 0.1, 0.5j)
-    logs = membership_log_partial_sums(targs, params, ns=(10, 20, 40))
+    logs = membership_log_partial_sums(targs, params)
     print(f"divergent case, log partial sums at N=10,20,40: "
           f"{logs[0]:.1f} < {logs[1]:.1f} < {logs[2]:.1f}  (unbounded growth)")
 

@@ -6,7 +6,9 @@ entire functions satisfying
     f(z + m) = exp(2*i*pi*alpha*m) * exp(nu*(z + m/2)*m) * f(z),  m in Z,
 
 that are square integrable against exp(-nu*|z|^2) on the strip
-S = [0,1] x R.  An orthogonal basis is
+S = [0,1] x R.  quasiperiod_factor is the factor of that law and
+quasiperiod_residual a callable's defect from it at one point, which the
+acceptance suite measures on every kind of member.  An orthogonal basis is
 
     e_n(z) = exp((nu/2)*z^2 + 2*i*pi*(alpha+n)*z),  n in Z,
 
@@ -307,20 +309,11 @@ def quasiperiod_factor(z, m, params):
 
 
 def quasiperiod_residual(f, z, m, params):
-    """Scaled defect |f(z+m) - factor * f(z)| / max(1, |f(z)|) of the
-    quasi-periodicity law at a single point."""
+    """Defect of the quasi-periodicity law at one point, |f(z+m)/F - f(z)| / max(1, |f(z)|) with F the factor of
+    the step m: dividing by |F| keeps the rounding of a large f(z+m) out of the defect."""
+    factor = quasiperiod_factor(z, m, params)  # a fractional m raises before f runs
     fz = complex(f(z))
-    fzm = complex(f(z + int(m)))
-    return abs(fzm - quasiperiod_factor(z, m, params) * fz) / max(1.0, abs(fz))
-
-
-def periodic_part(f, z, params):
-    """Strip the Gaussian and character factors: exp(-(nu/2) z^2 - 2 i pi alpha z) f(z).
-
-    For a member of the space the result is 1-periodic in z.
-    """
-    z = _as_complex(z)
-    return _mul(_exp(_mul(-0.5 * params.nu * z, z) - 2j * math.pi * params.alpha * z), _as_complex(f(z)))
+    return abs(complex(f(z + int(m))) - factor * fz) / (abs(factor) * max(1.0, abs(fz)))
 
 
 def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
@@ -389,8 +382,11 @@ def theta_membership(targs, params, budget=DEFAULT_BUDGET):
     return MembershipResult(True, math.sqrt(total.real))
 
 
-def membership_log_partial_sums(targs, params, ns=(10, 20, 40)):
-    """log of the symmetric partial sums of the membership norm series.
+PARTIAL_SUM_WIDTHS = (10, 20, 40)
+
+
+def membership_log_partial_sums(targs, params):
+    """log of the symmetric partial sums of the membership norm series, of half-widths PARTIAL_SUM_WIDTHS.
 
     Computed in log space so divergent cases (Im tau <= pi/nu) can still be
     certified: for those the sequence increases without bound.
@@ -399,7 +395,7 @@ def membership_log_partial_sums(targs, params, ns=(10, 20, 40)):
     gap = complex(targs.tau).imag - math.pi / params.nu
     center = round(-targs.alpha)
     out = []
-    for nmax in ns:
+    for nmax in PARTIAL_SUM_WIDTHS:
         idx = np.arange(center - nmax, center + nmax + 1)
         logs = -2.0 * math.pi * (idx + targs.alpha) ** 2 * gap
         top = float(np.max(logs))

@@ -131,26 +131,3 @@ def jacobi_theta3(z, tau, budget=DEFAULT_BUDGET):
     """Jacobi theta3(z | tau), the zero-characteristic series."""
     return riemann_theta(ThetaArgs(0.0, 0.0, tau), z, budget)
 
-
-def theta3_periodicity_factor(z, tau, l, m):
-    """Multiplier relating theta3(z + l*tau + m | tau) to theta3(z | tau).
-
-    Equals exp(-i*pi*l^2*tau - 2*i*pi*l*z); the integer step m contributes
-    no factor because theta3 is 1-periodic.
-    """
-    if l != int(l) or m != int(m):
-        raise DomainError(f"lattice steps must be integers, got l={l}, m={m}")
-    l, z = int(l), _as_complex(z)
-    return _exp(-1j * math.pi * l * l * complex(tau) - 2j * math.pi * l * z)
-
-
-def theta3_inversion_rhs(z, tau, budget=DEFAULT_BUDGET):
-    """Right-hand side of the theta3 inversion law:
-    sqrt(i/tau) * exp(-i*pi*z^2/tau) * theta3(z/tau | -1/tau)."""
-    tau = complex(tau)
-    if not tau.imag > 0.0:
-        raise DomainError(f"tau must satisfy Im tau > 0, got {tau}")
-    z = _as_complex(z)
-    inv = -1.0 / tau
-    gauss = _mul(cmath.sqrt(1j / tau), _exp(_mul(_mul(1j * math.pi * z, z), inv)))
-    return _mul(gauss, jacobi_theta3(_mul(-z, inv), inv, budget))

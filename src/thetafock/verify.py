@@ -7,8 +7,10 @@ against a pinned tolerance.  A case records expected = 0.0, actual = the
 worst deviation, and passes when |expected - actual| <= tolerance; a nan
 deviation fails it.  Closed forms are checked against quadrature (trapezoid x
 Gauss-Hermite on the strip, trapezoid on the line), series against
-independent partial summation or recomputation at a tighter budget, and
-differential identities against Wirtinger finite differences.
+independent partial summation or recomputation at a tighter budget,
+differential identities against Wirtinger finite differences, and the
+functional equation that defines the space by evaluating each kind of
+member at z and at z + k.
 
 run_acceptance() executes all criteria with their pinned tolerances;
 passing an explicit tol replaces every pinned tolerance, which separates
@@ -36,6 +38,7 @@ from .fock import (
     e_norm,
     membership_log_partial_sums,
     pointwise_bound,
+    quasiperiod_residual,
     reproducing_kernel,
     theta_member,
     theta_membership,
@@ -49,7 +52,7 @@ from .landau import (
     eigen_residual,
 )
 from .quadrature import LineScheme, StripScheme, line_inner_product, strip_gram, strip_inner_product
-from .theta import ThetaArgs, riemann_theta
+from .theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 SEED = 20240815
 
@@ -199,8 +202,23 @@ def criterion_growth_bound():
     return [_case("06-growth-bound", 1e-9, margins())]
 
 
+def _law_functions(params):
+    """One function of each kind that obeys the space's functional equation: elements built from a_n, from psi_n
+    coefficients and from Landau modes, K(., w) on both paths, and a theta member."""
+    w = 0.3 - 0.2j
+    return (
+        FockElement(params, {-1: 0.8 - 0.3j, 0: 1.0, 2: 0.25j}),
+        FockElement.from_psi_coeffs(params, {-2: 0.5j, 0: 1.0, 1: 0.3 - 0.4j}),
+        LandauElement(params, {(0, 1): 1.0, (2, -1): 0.5j, (3, 0): 0.2}),
+        lambda z: reproducing_kernel(z, w, params),
+        lambda z: reproducing_kernel(z, w, params, path="sum"),
+        theta_member(ThetaArgs(params.alpha, 0.1, 0.2 + 2j * math.pi / params.nu), params),
+    )
+
+
 def criterion_theta_membership():
-    """Membership decisions, the member norm, and divergence certification."""
+    """Membership decisions, the member norm, divergence certification, and the functional equation
+    f(z + k) = chi(k) exp(nu (z + k/2) k) f(z) that every member obeys."""
     expectations = (
         (SpaceParams(math.pi, 0.3), 2.0j, True),
         (SpaceParams(math.pi, 0.3), 1.2j, True),
@@ -224,6 +242,10 @@ def criterion_theta_membership():
         _case("07-membership-decisions", 0.0, [float(wrong)]),
         _case("07-membership-norm", 1e-6, [_rel(quad, closed)]),
         _case("07-membership-divergence", 0.0, map(uncertified, (1.0j, 0.5j))),
+        _case("07-functional-equation", 1e-12, (
+            quasiperiod_residual(f, z, k, p)
+            for p in SETTINGS for f in _law_functions(p) for z in SAMPLE_Z[::2] for k in (-3, -1, 1, 3)
+        )),
     ]
 
 
@@ -331,7 +353,7 @@ def criterion_truncation_soundness():
     base = TruncationBudget(tol=1e-12)
     tight = TruncationBudget(tol=1e-13)
     probes = (
-        lambda b: riemann_theta(ThetaArgs(0.0, 0.0, 2.0j), 0.3 + 0.2j, b),
+        lambda b: jacobi_theta3(0.3 + 0.2j, 2.0j, b),
         lambda b: riemann_theta(ThetaArgs(0.3, 0.7, 1.5j), 0.1 + 0.05j, b),
         lambda b: reproducing_kernel(0.1 + 0.2j, 0.3 - 0.1j, params, b, path="sum"),
         lambda b: theta_membership(ThetaArgs(params.alpha, 0.1, 2.0j), params, b).norm,

@@ -39,7 +39,7 @@ def test_a_nan_deviation_fails_its_case():
 def test_full_report_consistency():
     report = verify.run_acceptance()
     assert report.suite == "acceptance"
-    assert len(report.cases) == 19
+    assert len(report.cases) == 20
     assert report.all_passed
     for case in report.cases:
         assert case.passed == (abs(case.expected - case.actual) <= case.tolerance)

@@ -22,7 +22,6 @@ from thetafock.bargmann import (
 from thetafock.core import DomainError, TruncationBudget, TruncationError
 from thetafock.fock import FockElement, SpaceParams, basis_psi
 from thetafock.quadrature import SQRT2, StripScheme, line_inner_product, strip_inner_product
-from thetafock.theta import jacobi_theta3, theta3_inversion_rhs
 
 PARAMS = SpaceParams(math.pi, 0.3)
 
@@ -91,12 +90,6 @@ def test_kernels_raise_on_overflow():
             bargmann_kernel_A(25j, 0.4, PARAMS)
         with pytest.raises(OverflowError):
             generating_kernel_G(25, 0.4, PARAMS)
-
-
-def test_kernel_identity_is_theta_inversion():
-    # A == G rearranges to the theta3 inversion law; check both at once
-    z, tau = 0.2 - 0.35j, 0.8j
-    assert abs(jacobi_theta3(z, tau) - theta3_inversion_rhs(z, tau)) <= 1e-12
 
 
 def test_inverse_recovers_line_element():

@@ -218,7 +218,7 @@ def test_verify_csv_format():
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "name,expected,actual,tolerance,pass"
-    assert len(lines) == 20  # header + 19 cases
+    assert len(lines) == 21  # header + 20 cases
     assert "wall_time" not in text
 
 

@@ -18,7 +18,6 @@ from thetafock.fock import (
     basis_psi,
     e_norm,
     membership_log_partial_sums,
-    periodic_part,
     pointwise_bound,
     quasiperiod_factor,
     quasiperiod_residual,
@@ -156,12 +155,18 @@ def test_quasiperiod_factor_cocycle():
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_periodic_part_is_periodic():
-    elem = FockElement.from_psi_coeffs(PARAMS, {0: 1.0, 1: 0.5})
-    for z in (0.1 + 0.4j, 0.7 - 0.2j):
-        a = periodic_part(elem.evaluate, z, PARAMS)
-        b = periodic_part(elem.evaluate, z + 1.0, PARAMS)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+def test_quasiperiod_residual_is_relative_to_the_factor():
+    # |factor| = 2.6e9 here: the rounding of f(z + 3) is no defect of the law
+    elem = FockElement(PARAMS, {-1: 0.8 - 0.3j, 0: 1.0, 2: 0.25j})
+    assert abs(quasiperiod_factor(0.8 - 0.3j, 3, PARAMS)) > 1e9
+    assert quasiperiod_residual(elem.evaluate, 0.8 - 0.3j, 3, PARAMS) <= 1e-12
+
+
+def test_quasiperiod_residual_checks_the_step_first():
+    calls = []
+    with pytest.raises(DomainError, match="lattice step must be an integer"):
+        quasiperiod_residual(lambda z: calls.append(z) or 1.0, 0.1j, 1.5, PARAMS)
+    assert calls == []
 
 
 def test_element_json_round_trip():

@@ -33,14 +33,13 @@ from thetafock.fock import (
     SpaceParams,
     basis_e,
     basis_psi,
-    periodic_part,
     pointwise_bound,
     quasiperiod_factor,
     reproducing_kernel,
     theta_member,
 )
 from thetafock.landau import LandauElement, annihilation_apply, basis_psi_mn, creation_apply, landau_apply
-from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta, theta3_inversion_rhs, theta3_periodicity_factor
+from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -169,10 +168,7 @@ def _cases(rng):
         yield "FockElement.evaluate", fock.evaluate, z
         landau = LandauElement(low, {(k % 3, k - 3): c for k, c in enumerate(coeffs)})
         yield "LandauElement.evaluate", landau.evaluate, z
-        yield "theta3_periodicity_factor", lambda x: theta3_periodicity_factor(x, tau, n, level), z
-        yield "theta3_inversion_rhs", lambda x: theta3_inversion_rhs(x, tau), z
         yield "quasiperiod_factor", lambda x: quasiperiod_factor(x, n, params), z
-        yield "periodic_part", lambda x: periodic_part(fock.evaluate, x, params), z
         yield "pointwise_bound", lambda x: pointwise_bound(x, params) + 0j, z  # a real value, as a complex
 
 
@@ -213,7 +209,7 @@ def test_scalar_equals_array_to_the_last_bit():
         assert isinstance(scalar, complex) and array.shape == (1,)
         assert scalar == array[0], (name, z, scalar, array[0])
         seen.add(name)
-    assert len(seen) == 21 + 5 + 2
+    assert len(seen) == 18 + 5 + 2
 
 
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z
@@ -229,14 +225,14 @@ _KINDS = {
 def test_numpy_scalars_take_the_scalar_route():
     seen = set()
     for i, (name, f, z) in enumerate(_cases(np.random.default_rng(7))):
-        if i == 3 * 21:
+        if i == 3 * 18:
             break
         for kind, make in _KINDS.items():
             x = make(z)
             value = f(x)
             assert type(value) is complex and value == f(complex(x)), (name, kind, x, value)
         seen.add(name)
-    assert len(seen) == 21
+    assert len(seen) == 18
 
 
 class _NoABC:
@@ -249,7 +245,7 @@ class _NoABC:
 def test_python_numbers_never_reach_the_numbers_abcs(monkeypatch):
     import thetafock.core as core
 
-    cases = [(name, f, make(z)) for i, (name, f, z) in zip(range(2 * 21), _cases(np.random.default_rng(8)))
+    cases = [(name, f, make(z)) for i, (name, f, z) in zip(range(2 * 18), _cases(np.random.default_rng(8)))
              for make in (complex, lambda z: z.real, lambda z: round(2.0 * z.real))]
     expected = [f(x) for _, f, x in cases]
     monkeypatch.setattr(core, "numbers", _NoABC())

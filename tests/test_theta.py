@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetafock.core import DomainError, TruncationBudget, TruncationError
-from thetafock.theta import (
-    ThetaArgs,
-    jacobi_theta3,
-    riemann_theta,
-    theta3_inversion_rhs,
-    theta3_periodicity_factor,
-)
+from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 
 def brute_theta(alpha, beta, tau, z, span=60):
@@ -88,9 +82,10 @@ def test_array_evaluation():
     m=st.integers(min_value=-2, max_value=2),
 )
 def test_theta3_periodicity_property(zr, zi, ti, l, m):
+    # the engine at the shifted point against the law's right-hand side, with theta3(z | tau) from mpmath
     z, tau = complex(zr, zi), complex(0.0, ti)
     lhs = jacobi_theta3(z + l * tau + m, tau)
-    rhs = theta3_periodicity_factor(z, tau, l, m) * jacobi_theta3(z, tau)
+    rhs = complex(mp.exp(-1j * mp.pi * l * l * tau - 2j * mp.pi * l * z)) * mp_theta3(z, tau)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -109,13 +104,23 @@ def test_riemann_translation_character(alpha, zr, zi, ti):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+def test_theta3_periodicity_at_a_skew_tau():
+    z, tau, l, m = 0.2 + 0.3j, 0.5 + 1.2j, 2, -1
+    lhs = jacobi_theta3(z + l * tau + m, tau)
+    assert abs(lhs - mp_theta3(z + l * tau + m, tau)) <= 1e-14 * abs(lhs)
+    rhs = complex(mp.exp(-1j * mp.pi * l * l * tau - 2j * mp.pi * l * z)) * mp_theta3(z, tau)
+    assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
+
+
 def test_inversion_law_samples():
+    # the engine, which inverts tau itself while |tau| < 1, against the law's right-hand side, with
+    # theta3(z/tau | -1/tau) from mpmath
     rng = np.random.default_rng(7)
     for _ in range(20):
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         tau = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 2.5))
         lhs = jacobi_theta3(z, tau)
-        rhs = theta3_inversion_rhs(z, tau)
+        rhs = complex(mp.sqrt(1j / tau) * mp.exp(-1j * mp.pi * z * z / tau)) * mp_theta3(z / tau, -1.0 / tau)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -126,10 +131,6 @@ def test_domain_validation():
         ThetaArgs(0.0, 0.0, 2.0)
     with pytest.raises(DomainError):
         jacobi_theta3(0.1, -1j)
-    with pytest.raises(DomainError):
-        theta3_inversion_rhs(0.1, -1j)
-    with pytest.raises(DomainError):
-        theta3_periodicity_factor(0.1, 1j, 0.5, 0)
 
 
 def test_truncation_budget_exhaustion():
