@@ -27,7 +27,7 @@ strip pairing <f, G(., q)>, an independent quadrature.
 import math
 
 from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
-from .core import _as_complex, _exp, _finite, _mul, _reduce, np
+from .core import _as_complex, _exp, _finite, _finite_exp, _mul, _reduce, np
 from .fock import FockElement, SpaceParams, _Expansion, _index, basis_psi, pointwise_bound
 from .quadrature import SQRT2, _evaluate_on, _trapezoid_weights
 from .theta import _theta_value
@@ -42,7 +42,7 @@ START_INTERVALS, MAX_INTERVALS = 256, 4096
 def phi_basis(n, q, alpha):
     """Line mode phi_n(q) = 2^(-1/4) exp(sqrt(2) i pi (n+alpha) q)."""
     n, q = n if type(n) is int else _index(n), _as_complex(q)
-    return 2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (n + alpha) * q)
+    return _finite_exp(2.0 ** (-0.25), SQRT2 * 1j * math.pi * (n + alpha) * q, f"phi_{n}")
 
 
 class LineElement(_Expansion):

@@ -16,6 +16,13 @@ reductions dispatch; _mul rounds a product as Python's complex type on both
 routes (numpy may fuse its multiply-add), _imul in place, and a series adds in
 one order on both, so a scalar value equals its array counterpart to the bit.
 
+Overflow: members grow like e^{nu |z|^2 / 2}, so the modes, the lattice factor
+and the strip sums sit near the edge of the double range.  The rule for them
+lives here: a closed-form exponential leaves through _finite_exp, a sum through
+_finite, and either raises OverflowError naming its quantity rather than return
+inf or nan.  Array work that may overflow runs under _quiet (np.errstate, used
+nowhere outside this module); a Python number enters no context manager.
+
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
 ThetaArgs, SpaceParams, MembershipResult, the quadrature schemes and the
@@ -147,6 +154,15 @@ def _finite(vals, what):
     return vals
 
 
+def _finite_exp(scale, expo, what):
+    """scale * exp(expo) through _finite.  An ndarray runs under np.errstate, as _finite reports its overflow; a
+    Python number enters no context manager, since the sum oracles call the modes term by term."""
+    if type(expo) is complex:
+        return _finite(scale * _exp(expo), what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(scale * np.exp(expo), what)
+
+
 def hermite_poly(m, x):
     """Physicists' Hermite polynomial H_m(x) by upward recurrence.
 
@@ -209,10 +225,7 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     done = {+1: False, -1: False}
     prev = {+1: math.inf, -1: math.inf}
     total = _as_complex(term(center))
-    # Overflow in a term shows up as inf/nan in the running total, which
-    # callers detect and convert to OverflowError; suppress the interim
-    # numpy warnings so the raised error is the single signal.
-    with _quiet(total):
+    with _quiet(total):  # a term that overflowed leaves inf or nan in the total, for the caller's _finite
         # _TINY keeps both ratios defined while every term is exactly 0.
         absum = abs(total) + _TINY
         for k in range(1, budget.max_terms + 1):

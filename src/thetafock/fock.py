@@ -44,8 +44,8 @@ import json
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _mul, _quiet, _reduce, bilateral_sum
-from .core import character, np
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _mul, _quiet, _reduce
+from .core import bilateral_sum, character, np
 from .theta import _theta_value
 
 
@@ -173,8 +173,9 @@ def basis_e(n, z, params):
 
 def e_norm(n, params):
     """Closed-form norm ||e_n|| = (pi/(2 nu))^(1/4) exp((pi^2/nu)(n+alpha)^2)."""
-    c = (n if type(n) is int else _index(n)) + params.alpha
-    return (math.pi / (2.0 * params.nu)) ** 0.25 * math.exp((math.pi**2 / params.nu) * c * c)
+    n = n if type(n) is int else _index(n)
+    expo = (math.pi**2 / params.nu) * (n + params.alpha) * (n + params.alpha)
+    return _finite_exp((math.pi / (2.0 * params.nu)) ** 0.25, complex(expo), f"norm of e_{n}").real
 
 
 def basis_psi(n, z, params):
@@ -183,15 +184,6 @@ def basis_psi(n, z, params):
     c = params.alpha + n
     expo = _mul(0.5 * params.nu * z, z) + 2j * math.pi * c * z - (math.pi**2 / params.nu) * c * c
     return _finite_exp((2.0 * params.nu / math.pi) ** 0.25, expo, f"psi_{n}")
-
-
-def _finite_exp(scale, expo, what):
-    """scale * exp(expo) through _finite.  An ndarray runs under np.errstate, as _finite reports its overflow; a
-    Python number enters no context manager, since the sum oracles call the modes term by term."""
-    if type(expo) is complex:
-        return _finite(scale * _exp(expo), what)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(scale * np.exp(expo), what)
 
 
 def _psi_sum(params, keys, z, coeff, scale):
@@ -305,7 +297,8 @@ def quasiperiod_factor(z, m, params):
     if m != int(m):
         raise DomainError(f"lattice step must be an integer, got {m}")
     m, z = int(m), _as_complex(z)
-    return _mul(character(params.alpha, m), _exp(params.nu * (z + m / 2.0) * m))
+    with _quiet(z):  # a factor that left the double range is raised by _finite
+        return _finite(_mul(character(params.alpha, m), _exp(params.nu * (z + m / 2.0) * m)), f"factor of step {m}")
 
 
 def quasiperiod_residual(f, z, m, params):

@@ -44,7 +44,7 @@ import functools
 import math
 import sys
 
-from .core import DomainError, EvaluationError, _as_complex, _exp, _finite, _mul, _quiet, hermite_poly, np
+from .core import DomainError, EvaluationError, _as_complex, _finite, _finite_exp, _mul, _quiet, hermite_poly, np
 from .fock import _Expansion, _index, _psi_sum
 from .quadrature import _evaluate_on
 
@@ -93,7 +93,8 @@ def basis_psi_mn(m, n, z, params):
     The normalization exponent is assembled in log space and combined with the
     mode exponent inside a single exp call, from constants formed once per
     (m, n, nu, alpha).  Where that exponent leaves exp's normal range, H_m's
-    binary exponent moves into it first, so a subnormal exp loses no digits.
+    binary exponent moves into it first, so a subnormal exp loses no digits;
+    the one exit, core._finite_exp, raises OverflowError naming psi_{m,n}.
     Levels m > 40 are rejected: beyond that the constants leave the range
     where doubles are reliable.  A non-integral n raises DomainError.
     """
@@ -112,13 +113,10 @@ def basis_psi_mn(m, n, z, params):
         if not _LOG_MIN <= expo.real <= _LOG_MAX:
             h, e = math.frexp(h)
             expo += e * _LN2
-        return _finite(_exp(expo) * h, name)
-    outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
-    if outside.any():
+    elif (outside := (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)).any():
         mantissa, e = np.frexp(h)
         expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised by _finite
-        return _finite(np.exp(expo) * h, name)
+    return _finite_exp(h, expo, name)
 
 
 class LandauElement(_Expansion):

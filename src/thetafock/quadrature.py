@@ -7,8 +7,14 @@ Strip inner product for the Gaussian-weighted space on S = [0,1] x R:
 computed as a trapezoid rule in x (spectrally accurate for 1-periodic
 integrands) tensored with Gauss-Hermite in y under the substitution
 u = sqrt(nu) * (y - y_shift).  The Gauss-Hermite weight exp(-u^2) is
-removed analytically, so the combined node weight carries the exponent
-u^2 - nu*|z|^2, which is linear in y and never overflows.  The shift
+removed analytically, so the node weight is w_x w_u exp(u^2 - nu*|z|^2) /
+sqrt(nu).  Its exponent is linear in y and does not overflow, but its exp
+underflows to 0 at the outer nodes, where f conj(g) ~ e^{nu |z|^2} may
+overflow: inf * 0 = nan.  The rule therefore keeps s = sqrt(node weight), an
+x part times a y part (x_points + y_order exps a rule), and sums
+(f s) conj(g s): f s ~ f e^{-nu |z|^2 / 2} is finite wherever f is, so a
+strip norm of psi_n holds until psi_n itself overflows on the nodes, and a
+sum that still leaves the double range raises OverflowError.  The shift
 recenters the rule on the Gaussian bump of the integrand; for a pair of
 Fourier modes n and m of the space with character alpha the bump sits at
 y = -pi*(alpha + (n+m)/2)/nu.  strip_gram builds a whole Gram matrix on
@@ -23,7 +29,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DomainError, EvaluationError, np
+from .core import DomainError, EvaluationError, _finite, _quiet, np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,19 +110,16 @@ def _evaluate_on(f, nodes, label):
 
 
 def _strip_rule(nu, scheme):
-    """Node grid, node weights and trapezoid x-weight column of the strip rule."""
+    """Node grid and root weights s of the strip rule, node weight s^2, as the outer product of an x and a y part."""
     if nu <= 0.0:
         raise DomainError(f"nu must be positive, got {nu}")
     xs = np.linspace(0.0, 1.0, scheme.x_points)
-    wx = _trapezoid_weights(scheme.x_points, 1.0)
     u, wu = _hermgauss(scheme.y_order)
     ys = u / math.sqrt(nu) + scheme.y_shift
-    grid = xs[:, None] + 1j * ys[None, :]
-    # exp(-u^2) of the Gauss-Hermite weight cancels analytically against the
-    # substitution; u^2 - nu*(x^2 + y^2) is linear in y so it never overflows.
-    logw = u[None, :] ** 2 - nu * (xs[:, None] ** 2 + ys[None, :] ** 2)
-    weights = np.exp(logw) * wu[None, :] / math.sqrt(nu)
-    return grid, weights, wx[:, None]
+    # exp(-u^2) of the Gauss-Hermite weight cancels analytically against the substitution
+    sx = np.sqrt(_trapezoid_weights(scheme.x_points, 1.0)) * np.exp(-0.5 * nu * xs**2)
+    sy = np.sqrt(wu / math.sqrt(nu)) * np.exp(0.5 * (u**2 - nu * ys**2))
+    return xs[:, None] + 1j * ys[None, :], sx[:, None] * sy[None, :]
 
 
 def strip_inner_product(f, g, nu, scheme=StripScheme()):
@@ -126,10 +129,12 @@ def strip_inner_product(f, g, nu, scheme=StripScheme()):
     evaluated on the full node grid at once).  Conjugate-linear in g.  A norm,
     g is f, evaluates f once.
     """
-    grid, weights, wx = _strip_rule(nu, scheme)
+    grid, root = _strip_rule(nu, scheme)
     fv = _evaluate_on(f, grid, "f")
     gv = fv if g is f else _evaluate_on(g, grid, "g")
-    return complex(np.sum(fv * np.conj(gv) * weights * wx))
+    with _quiet(grid):  # a sum that left the double range is raised by _finite
+        fs = fv * root
+        return _finite(complex(np.sum(fs * np.conj(fs if g is f else gv * root))), "strip inner product")
 
 
 def strip_gram(modes, nu, alpha):
@@ -140,13 +145,15 @@ def strip_gram(modes, nu, alpha):
     ns = [n for n, _ in modes]
     gram = np.zeros((len(modes), len(modes)), dtype=complex)
     for total in sorted({a + b for a in ns for b in ns}):
-        grid, weights, wx = _strip_rule(nu, StripScheme.centered(nu, alpha, total / 2.0))
+        grid, root = _strip_rule(nu, StripScheme.centered(nu, alpha, total / 2.0))
         vals = {i: _evaluate_on(f, grid, f"mode {i}") for i, (n, f) in enumerate(modes) if total - n in ns}
-        for i in vals:
-            for j in vals:
-                if ns[i] + ns[j] == total:
-                    gram[i, j] = np.sum(vals[i] * np.conj(vals[j]) * weights * wx)
-    return gram
+        with _quiet(grid):
+            vals = {i: v * root for i, v in vals.items()}
+            for i in vals:
+                for j in vals:
+                    if ns[i] + ns[j] == total:
+                        gram[i, j] = np.sum(vals[i] * np.conj(vals[j]))
+    return _finite(gram, "strip Gram matrix")
 
 
 def line_inner_product(phi1, phi2, scheme=LineScheme()):
@@ -155,4 +162,5 @@ def line_inner_product(phi1, phi2, scheme=LineScheme()):
     w = _trapezoid_weights(scheme.q_points, SQRT2)
     v1 = _evaluate_on(phi1, qs, "phi1")
     v2 = _evaluate_on(phi2, qs, "phi2")
-    return complex(np.sum(v1 * np.conj(v2) * w))
+    with _quiet(qs):
+        return _finite(complex(np.sum(v1 * np.conj(v2) * w)), "line inner product")

@@ -34,7 +34,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _imul, _is_number, _mul, np
+from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _imul, _is_number, _mul
+from .core import _quiet, np
 
 
 class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
@@ -117,7 +118,7 @@ def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     if _is_number(z) and _is_number(logpref):
         E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
         return _finite(_mul(_exp(E), S), what)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(z):
         E, S = _theta_exp(alpha, beta, tau, z, budget, logpref, invert)
         return _finite(_mul(np.exp(E), S), what)
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from thetafock.bargmann import phi_basis
 from thetafock.core import DomainError, EvaluationError, hermite_poly
-from thetafock.fock import SpaceParams, basis_e, basis_psi
+from thetafock.fock import SpaceParams, basis_e, basis_psi, e_norm, quasiperiod_factor
 from thetafock.landau import (
     OFFSETS,
     STEP,
@@ -48,11 +49,14 @@ def test_level_validation():
     assert basis_psi_mn(np.int64(2), 2.0, 0.2 + 0.1j, PARAMS) == basis_psi_mn(2, 2, 0.2 + 0.1j, PARAMS)
 
 
-@pytest.mark.parametrize("z", [40 + 0.1j, np.array([40 + 0.1j]), np.array([0.2, 40 + 0.1j])])
+@pytest.mark.parametrize("z", [40 + 0.1j, np.array([40 + 0.1j]), np.array([0.2, 40 + 0.1j]), np.array(40 + 0.1j)])
 def test_overflow_raises_with_no_warning_first(z):
     params = SpaceParams(1.0, 0.3)
+    far = lambda w: z + (w - (40 + 0.1j))  # z with its entry 40 + 0.1j moved to w
     modes = ((r"psi_\{3,1\}", lambda: basis_psi_mn(3, 1, z, params)), ("e_1", lambda: basis_e(1, z, params)),
-             ("psi_1", lambda: basis_psi(1, z, params)))
+             ("psi_1", lambda: basis_psi(1, z, params)), ("phi_0", lambda: phi_basis(0, far(-1000j), 0.3)),
+             ("factor of step 40", lambda: quasiperiod_factor(z, 40, params)),
+             ("norm of e_30", lambda: e_norm(30, SpaceParams(0.5, 0.3))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, mode in modes:

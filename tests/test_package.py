@@ -51,6 +51,18 @@ def test_numbers_abcs_only_in_the_scalar_predicate():
     assert uses and all(path == core.name and predicate.lineno <= i <= predicate.end_lineno for path, i in uses), uses
 
 
+def test_errstate_only_in_core():
+    # numpy's error state is set in one place, by the overflow rule in core; every other module goes through it
+    core = SRC / "thetafock" / "core.py"
+    spans = [(node.lineno, node.end_lineno) for node in ast.parse(core.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in ("_quiet", "_finite_exp", "hermite_poly")]
+    uses = [(path.name, node.lineno) for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "errstate"]
+    assert len(spans) == 3 and uses, uses
+    assert all(path == core.name and any(lo <= i <= hi for lo, hi in spans) for path, i in uses), uses
+
+
 def test_names_resolve_to_the_defining_module():
     for sub in SUBMODULES:
         assert getattr(thetafock, sub) is importlib.import_module(f"thetafock.{sub}")

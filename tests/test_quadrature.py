@@ -1,6 +1,7 @@
 """Strip and line inner products against closed-form norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,34 @@ def test_norm_evaluates_f_once():
     value = strip_inner_product(f, f, PARAMS.nu, scheme)
     assert calls == [(scheme.x_points, scheme.y_order)]
     assert value == strip_inner_product(f, lambda z: f(z), PARAMS.nu, scheme)
+
+
+@pytest.mark.parametrize("nu, limit", [(0.2, 4), (1.0, 10), (100.0, 92)])
+def test_psi_strip_norms_hold_up_to_the_overflow_of_psi(nu, limit):
+    # at the outer Gauss-Hermite nodes |psi_n|^2 overflows where the node weight underflows; the rule
+    # scales each side by the root of the weight, so every norm below psi_limit's overflow on the nodes is 1
+    params = SpaceParams(nu, 0.3)
+    for n in range(limit + 1):
+        f, scheme = _psi(n, params), StripScheme.centered(nu, 0.3, n)
+        if n == limit:
+            with pytest.raises(OverflowError, match=f"psi_{n} overflowed"):
+                strip_inner_product(f, f, nu, scheme)
+            break
+        norm = strip_inner_product(f, f, nu, scheme)
+        assert abs(norm - 1.0) <= 1e-9
+        assert strip_gram([(n, f)], nu, 0.3)[0, 0] == norm
+
+
+def test_quadrature_overflow_raises_with_no_warning():
+    huge = lambda z: np.full(np.shape(z), 1e200 + 0j)
+    sums = (("strip inner product", lambda: strip_inner_product(huge, huge, PARAMS.nu, StripScheme())),
+            ("strip Gram matrix", lambda: strip_gram([(0, huge)], PARAMS.nu, PARAMS.alpha)),
+            ("line inner product", lambda: line_inner_product(huge, huge)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, total in sums:
+            with pytest.raises(OverflowError, match=f"^{name} overflowed the double range$"):
+                total()
 
 
 def test_strip_gram_of_no_modes_is_empty():
