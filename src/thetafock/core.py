@@ -68,19 +68,28 @@ class EvaluationError(ArithmeticError):
     """A user-supplied callable produced a non-finite value at a node."""
 
 
+def _index(value, what="mode index"):
+    """value as an int; a non-integral value raises DomainError naming `what` instead of truncating."""
+    index = int(value)
+    if index != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return index
+
+
 class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
     """Truncation policy of every series: tol bounds the tail left out
     relative to sum |term|, and max_terms caps the one-sided terms.  The theta
     window (theta._theta_exp) takes its width from tol in closed form and
     walks it by term ratios; bilateral_sum stops on tol and raises once the
-    rounding, eps * sum |term|, exceeds tol relative to the sum."""
+    rounding, eps * sum |term|, exceeds tol relative to the sum; and
+    bargmann_pointwise doubles its rule to within tol * sum |node term|."""
 
     __slots__ = ()
 
     def __new__(cls, tol=1e-12, max_terms=10000):
         if not (tol > 0.0 and math.isfinite(tol)):
             raise DomainError(f"budget tol must be positive and finite, got {tol}")
-        if max_terms < 1:
+        if (max_terms := _index(max_terms, "budget max_terms")) < 1:
             raise DomainError(f"budget max_terms must be >= 1, got {max_terms}")
         return super().__new__(cls, tol, max_terms)
 

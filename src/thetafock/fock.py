@@ -44,7 +44,7 @@ import json
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _mul, _quiet, _reduce
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _reduce
 from .core import bilateral_sum, character, np
 from .theta import _theta_value
 
@@ -60,14 +60,6 @@ class SpaceParams(namedtuple("SpaceParams", "nu alpha")):
         if not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite, got {alpha}")
         return super().__new__(cls, float(nu), float(alpha))
-
-
-def _index(value):
-    """Mode index as an int; a non-integral value raises instead of truncating."""
-    index = int(value)
-    if index != value:
-        raise DomainError(f"mode index must be an integer, got {value!r}")
-    return index
 
 
 class _Expansion:

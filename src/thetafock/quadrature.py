@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DomainError, EvaluationError, _finite, _quiet, np
+from .core import DomainError, EvaluationError, _finite, _index, _quiet, np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,9 +46,9 @@ class StripScheme(namedtuple("StripScheme", "x_points y_order y_shift")):
     __slots__ = ()
 
     def __new__(cls, x_points=64, y_order=64, y_shift=0.0):
-        if x_points < 4:
+        if (x_points := _index(x_points, "x_points")) < 4:
             raise DomainError(f"x_points must be >= 4, got {x_points}")
-        if y_order < 8:
+        if (y_order := _index(y_order, "y_order")) < 8:
             raise DomainError(f"y_order must be >= 8, got {y_order}")
         if not math.isfinite(y_shift):
             raise DomainError(f"y_shift must be finite, got {y_shift}")
@@ -58,8 +58,8 @@ class StripScheme(namedtuple("StripScheme", "x_points y_order y_shift")):
     def centered(cls, nu, alpha, n_bar):
         """Scheme recentered on the Gaussian bump of mode index n_bar
         (use the midpoint (n+m)/2 for a pair of modes n, m)."""
-        if nu <= 0.0:
-            raise DomainError(f"nu must be positive, got {nu}")
+        if not (nu > 0.0 and math.isfinite(nu)):
+            raise DomainError(f"nu must be positive and finite, got {nu}")
         return cls(y_shift=-math.pi * (alpha + n_bar) / nu)
 
     def doubled(self):
@@ -72,7 +72,7 @@ class LineScheme(namedtuple("LineScheme", "q_points")):
     __slots__ = ()
 
     def __new__(cls, q_points=256):
-        if q_points < 4:
+        if (q_points := _index(q_points, "q_points")) < 4:
             raise DomainError(f"q_points must be >= 4, got {q_points}")
         return super().__new__(cls, q_points)
 
@@ -111,8 +111,8 @@ def _evaluate_on(f, nodes, label):
 
 def _strip_rule(nu, scheme):
     """Node grid and root weights s of the strip rule, node weight s^2, as the outer product of an x and a y part."""
-    if nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu}")
+    if not (nu > 0.0 and math.isfinite(nu)):
+        raise DomainError(f"nu must be positive and finite, got {nu}")
     xs = np.linspace(0.0, 1.0, scheme.x_points)
     u, wu = _hermgauss(scheme.y_order)
     ys = u / math.sqrt(nu) + scheme.y_shift

@@ -20,7 +20,7 @@ from thetafock.bargmann import (
     phi_basis,
 )
 from thetafock.core import DomainError, TruncationBudget, TruncationError
-from thetafock.fock import FockElement, SpaceParams, basis_psi
+from thetafock.fock import FockElement, SpaceParams, basis_psi, pointwise_bound
 from thetafock.quadrature import SQRT2, StripScheme, line_inner_product, strip_inner_product
 
 PARAMS = SpaceParams(math.pi, 0.3)
@@ -214,6 +214,37 @@ def test_pointwise_budget_exhaustion():
     phi = lambda q: phi_basis(0, q, PARAMS.alpha)
     with pytest.raises(TruncationError):
         bargmann_pointwise(phi, 0.2 + 0.1j, PARAMS, TruncationBudget(tol=1e-18))
+
+
+# The stop is relative to sum |node term|, which scales with phi, so the certificate of s * phi_0 does not depend
+# on s up to the edge of the double range.
+SCALED_PARAMS, SCALES = SpaceParams(3.0, 0.3), (1e-250, 1e155, 1e290)
+
+
+def _scaled_phi0(s):
+    return lambda q: s * phi_basis(0, q, SCALED_PARAMS.alpha)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_pointwise_scales_with_phi_at_the_bump(s):
+    z = 0.3 - 0.3j
+    value = bargmann_pointwise(_scaled_phi0(s), z, SCALED_PARAMS)
+    assert abs(value / s - bargmann_pointwise(_scaled_phi0(1.0), z, SCALED_PARAMS)) <= 1e-12 * abs(value / s)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_pointwise_scales_with_phi_where_it_cancels(s):
+    # |psi_0(z)| ~ 4.8e-9 against K(z,z)^(1/2) ~ 9.0e5: the value is certified only relative to sum |node term|
+    z = 0.3 + 3j
+    value = bargmann_pointwise(_scaled_phi0(s), z, SCALED_PARAMS)
+    assert abs(value / s - basis_psi(0, z, SCALED_PARAMS)) <= 1e-12 * pointwise_bound(z, SCALED_PARAMS)
+
+
+def test_pointwise_overflow_raises_with_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^Bargmann transform overflowed the double range$"):
+            bargmann_pointwise(_scaled_phi0(1e300), 0.3 + 8j, SCALED_PARAMS)
 
 
 def test_line_element_validation():

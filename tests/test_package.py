@@ -151,6 +151,11 @@ def test_scheme_defaults_and_derived_schemes():
     assert StripScheme.centered(2.0, 0.5, 1.5) == StripScheme(y_shift=-3.141592653589793)
 
 
+def test_integral_counts_are_stored_as_int():
+    counts = (*StripScheme(64.0, 16.0), *LineScheme(256.0), TruncationBudget(max_terms=2.0).max_terms)
+    assert counts == (64, 16, 0.0, 256, 2) and [type(c) for c in counts] == [int, int, float, int, int]
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: TruncationBudget(tol=0.0), "budget tol must be positive and finite, got 0.0"),
     (lambda: TruncationBudget(tol=float("inf")), "budget tol must be positive and finite, got inf"),
@@ -163,6 +168,12 @@ def test_scheme_defaults_and_derived_schemes():
     (lambda: StripScheme(y_order=7), "y_order must be >= 8, got 7"),
     (lambda: StripScheme(y_shift=float("nan")), "y_shift must be finite, got nan"),
     (lambda: LineScheme(2), "q_points must be >= 4, got 2"),
+    (lambda: StripScheme(64.5), "x_points must be an integer, got 64.5"),
+    (lambda: StripScheme(y_order=16.5), "y_order must be an integer, got 16.5"),
+    (lambda: LineScheme(256.5), "q_points must be an integer, got 256.5"),
+    (lambda: TruncationBudget(max_terms=2.5), "budget max_terms must be an integer, got 2.5"),
+    (lambda: StripScheme.centered(float("nan"), 0.3, 0), "nu must be positive and finite, got nan"),
+    (lambda: StripScheme.centered(float("inf"), 0.3, 0), "nu must be positive and finite, got inf"),
 ])
 def test_value_type_domain_errors(build, message):
     with pytest.raises(DomainError, match=f"^{message}$"):

@@ -136,8 +136,12 @@ def test_nonfinite_node_reported():
 
 
 def test_strip_rejects_bad_nu():
-    with pytest.raises(DomainError):
-        strip_inner_product(_psi(0), _psi(0), 0.0, StripScheme())
+    for nu in (0.0, math.nan, math.inf):
+        message = f"^nu must be positive and finite, got {nu}$"
+        with pytest.raises(DomainError, match=message):
+            strip_inner_product(_psi(0), _psi(0), nu, StripScheme())
+        with pytest.raises(DomainError, match=message):
+            strip_gram([(0, _psi(0))], nu, PARAMS.alpha)
 
 
 def test_strip_gram_matches_pairwise_inner_products():
