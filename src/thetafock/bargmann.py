@@ -26,8 +26,8 @@ strip pairing <f, G(., q)>, an independent quadrature.
 
 import math
 
-from .core import _EPS, DEFAULT_BUDGET, DomainError, TruncationError, bilateral_sum
-from .core import _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _reduce, np
+from .core import _EPS, DEFAULT_BUDGET, TruncationError, bilateral_sum
+from .core import _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _real, _reduce, np
 from .fock import FockElement, SpaceParams, _Expansion, basis_psi
 from .quadrature import SQRT2, _evaluate_on, _trapezoid_weights
 from .theta import _theta_value
@@ -51,9 +51,7 @@ class LineElement(_Expansion):
     SPACE = "alpha"
 
     def __init__(self, alpha, coeffs):
-        if not math.isfinite(alpha):
-            raise DomainError(f"alpha must be finite, got {alpha}")
-        super().__init__(float(alpha), coeffs)
+        super().__init__(float(_real(alpha, "alpha")), coeffs)
 
     def _parts(self, q):
         """sum b_n phi_n(q) by Horner over the gaps d between indices in exp(s sqrt(2) i pi d q), |.| <= 1:
@@ -85,7 +83,7 @@ class LineElement(_Expansion):
 
 def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):
     """Periodized Gaussian kernel A(z; q); broadcasts over z and q."""
-    z, q = _as_complex(z), _as_complex(q)
+    z, q = _finite(_as_complex(z), "Bargmann kernel A"), _finite(_as_complex(q), "Bargmann kernel A")
     xi = q * _INV_SQRT2 - z
     tau = 1j * params.nu / math.pi
     logpref = 0.75 * math.log(params.nu / math.pi) + _mul(0.5 * params.nu * z, z) - _mul(params.nu * xi, xi)
@@ -95,7 +93,7 @@ def bargmann_kernel_A(z, q, params, budget=DEFAULT_BUDGET):
 
 def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
     """Bilateral generating kernel G(z; q) in theta closed form."""
-    z, q = _as_complex(z), _as_complex(q)
+    z, q = _finite(_as_complex(z), "generating kernel G"), _finite(_as_complex(q), "generating kernel G")
     logpref = 0.25 * math.log(params.nu / math.pi) + _mul(0.5 * params.nu * z, z)
     tau = 1j * math.pi / params.nu
     return _theta_value("generating kernel G", params.alpha, 0.0, tau, z - q * _INV_SQRT2, budget, logpref)
@@ -103,7 +101,7 @@ def generating_kernel_G(z, q, params, budget=DEFAULT_BUDGET):
 
 def generating_kernel_sum(z, q, params, budget=DEFAULT_BUDGET):
     """G(z; q) by direct bilateral summation of psi_n(z) conj(phi_n(q))."""
-    z, q = _as_complex(z), _as_complex(q)
+    z, q = _finite(_as_complex(z), "generating kernel sum"), _finite(_as_complex(q), "generating kernel sum")
     center = -params.alpha - params.nu * _reduce("mean", z.imag) / math.pi
 
     def term(n):

@@ -10,8 +10,9 @@ is always plain text, so NO_COLOR needs no special handling.  Exit codes:
 0 success, 1 domain or numerical error, 2 verification failure, 64 usage
 error.
 
-Each subcommand imports the library modules it runs when it runs, so one
-process loads only those (`theta eval`: core and theta).
+Handlers reach the library as tf.<name>, through the package's lazy names
+(PEP 562), which import a module on its first use: one process loads only the
+modules its subcommand runs (`theta eval`: core and theta).
 """
 
 import argparse
@@ -20,6 +21,8 @@ import json
 import math
 import os
 import sys
+
+import thetafock as tf
 
 from .core import DEFAULT_BUDGET, DomainError, EvaluationError, TruncationBudget, TruncationError
 
@@ -134,34 +137,26 @@ def _to_csv(rows):
 
 
 def _cmd_theta_eval(args):
-    from .theta import ThetaArgs, riemann_theta
-
-    targs = ThetaArgs(args.alpha, args.beta, parse_complex(args.tau))
+    targs = tf.ThetaArgs(args.alpha, args.beta, parse_complex(args.tau))
     budget = TruncationBudget(tol=args.tol) if args.tol is not None else DEFAULT_BUDGET
-    return _value(riemann_theta(targs, parse_complex(args.z), budget))
+    return _value(tf.riemann_theta(targs, parse_complex(args.z), budget))
 
 
 def _cmd_fock_psi(args):
-    from .fock import SpaceParams, basis_psi
-
-    params = SpaceParams(args.nu, args.alpha)
-    return _value(basis_psi(args.n, parse_complex(args.z), params))
+    params = tf.SpaceParams(args.nu, args.alpha)
+    return _value(tf.basis_psi(args.n, parse_complex(args.z), params))
 
 
 def _cmd_fock_gram(args):
-    from .fock import SpaceParams
-    from .landau import basis_psi_mn
-    from .quadrature import strip_gram
-
-    params = SpaceParams(args.nu, args.alpha)
+    params = tf.SpaceParams(args.nu, args.alpha)
     if args.nmax < args.nmin:
         raise UsageError(f"--nmax must be >= --nmin, got {args.nmin}..{args.nmax}")
     if args.mlevels < 0:
         raise UsageError(f"--mlevels must be >= 0, got {args.mlevels}")
     modes = [(m, n) for m in range(0, args.mlevels + 1) for n in range(args.nmin, args.nmax + 1)]
-    fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m, n in modes]
+    fs = [(n, lambda z, m=m, n=n: tf.basis_psi_mn(m, n, z, params)) for m, n in modes]
     entries = []
-    for (m1, n1), row in zip(modes, strip_gram(fs, params.nu, params.alpha).tolist()):
+    for (m1, n1), row in zip(modes, tf.strip_gram(fs, params.nu, params.alpha).tolist()):
         for (m2, n2), ip in zip(modes, row):
             entries.append({"row_m": m1, "row_n": n1, "col_m": m2, "col_n": n2, "re": ip.real, "im": ip.imag})
     payload = {"nu": params.nu, "alpha": params.alpha, "entries": entries}
@@ -169,66 +164,47 @@ def _cmd_fock_gram(args):
 
 
 def _cmd_fock_kernel(args):
-    from .fock import SpaceParams, reproducing_kernel
-
-    params = SpaceParams(args.nu, args.alpha)
-    return _value(reproducing_kernel(parse_complex(args.z), parse_complex(args.w), params, path=args.path))
+    params = tf.SpaceParams(args.nu, args.alpha)
+    return _value(tf.reproducing_kernel(parse_complex(args.z), parse_complex(args.w), params, path=args.path))
 
 
 def _cmd_fock_member(args):
-    from .fock import SpaceParams, theta_membership
-    from .theta import ThetaArgs
-
-    params = SpaceParams(args.nu, args.alpha)
-    result = theta_membership(ThetaArgs(args.alpha, args.beta, parse_complex(args.tau)), params)
+    params = tf.SpaceParams(args.nu, args.alpha)
+    result = tf.theta_membership(tf.ThetaArgs(args.alpha, args.beta, parse_complex(args.tau)), params)
     payload = {"in_space": result.in_space, "norm": result.norm}
     return 0, payload, [payload]
 
 
 def _cmd_bargmann_forward(args):
-    from .bargmann import LineElement, bargmann_transform_coeffs
-
-    fock_elem = bargmann_transform_coeffs(_load_element(args.infile, LineElement), args.nu)
+    fock_elem = tf.bargmann_transform_coeffs(_load_element(args.infile, tf.LineElement), args.nu)
     if args.z is not None:
         return _value(fock_elem.evaluate(parse_complex(args.z)))
     return _element_out(fock_elem, args.out)
 
 
 def _cmd_bargmann_inverse(args):
-    from .bargmann import bargmann_inverse
-    from .fock import FockElement
-
-    return _value(bargmann_inverse(_load_element(args.infile, FockElement), args.q))
+    return _value(tf.bargmann_inverse(_load_element(args.infile, tf.FockElement), args.q))
 
 
 def _cmd_landau_apply(args):
-    from .landau import LandauElement, landau_apply
-
-    elem = _load_element(args.infile, LandauElement)
-    return _value(landau_apply(elem.evaluate, parse_complex(args.z), elem.params))
+    elem = _load_element(args.infile, tf.LandauElement)
+    return _value(tf.landau_apply(elem.evaluate, parse_complex(args.z), elem.params))
 
 
 def _cmd_landau_shift(args):
-    from .landau import LandauElement
-
-    elem = _load_element(args.infile, LandauElement)
+    elem = _load_element(args.infile, tf.LandauElement)
     return _element_out(elem.raised() if args.direction == "raise" else elem.lowered(), args.out)
 
 
 def _cmd_landau_eigres(args):
-    from .fock import SpaceParams
-    from .landau import SAMPLE_Z, eigen_residual
-
-    params = SpaceParams(args.nu, args.alpha)
-    residual = eigen_residual(args.m, args.n, params, SAMPLE_Z)
+    params = tf.SpaceParams(args.nu, args.alpha)
+    residual = tf.eigen_residual(args.m, args.n, params, tf.landau.SAMPLE_Z)
     payload = {"m": args.m, "n": args.n, "eigenvalue": params.nu * args.m, "residual": residual}
     return 0, payload, [payload]
 
 
 def _cmd_verify_all(args):
-    from .verify import run_acceptance
-
-    report = run_acceptance(args.tol)
+    report = tf.run_acceptance(args.tol)
     code = 0 if report.all_passed else 2
     return code, report.to_dict(), [c.to_dict() for c in report.cases]
 

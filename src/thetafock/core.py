@@ -23,6 +23,12 @@ _finite, and either raises OverflowError naming its quantity rather than return
 inf or nan.  Array work that may overflow runs under _quiet (np.errstate, used
 nowhere outside this module); a Python number enters no context manager.
 
+Arguments: every index, level, lattice step and count goes through _index and
+every real parameter through _real, which raise DomainError naming the argument
+for a nan, infinite, fractional or out-of-range value.  The theta paths pass
+their points through _finite at entry: a nan or infinite point raises the
+path's OverflowError before any arithmetic, on both routes.
+
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
 ThetaArgs, SpaceParams, MembershipResult, the quadrature schemes and the
@@ -68,12 +74,24 @@ class EvaluationError(ArithmeticError):
     """A user-supplied callable produced a non-finite value at a node."""
 
 
-def _index(value, what="mode index"):
-    """value as an int; a non-integral value raises DomainError naming `what` instead of truncating."""
-    index = int(value)
+def _index(value, what="mode index", least=None):
+    """value as an int; a nan, infinite or fractional value, or one below `least`, raises DomainError naming `what`."""
+    try:
+        index = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        index = math.nan
     if index != value:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value}")
+    if least is not None and index < least:
+        raise DomainError(f"{what} must be >= {least}, got {index}")
     return index
+
+
+def _real(value, what, positive=False):
+    """value itself if it is finite (and > 0 if `positive`); otherwise DomainError naming `what`."""
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise DomainError(f"{what} must be {'positive and ' if positive else ''}finite, got {value}")
+    return value
 
 
 class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
@@ -87,11 +105,7 @@ class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
     __slots__ = ()
 
     def __new__(cls, tol=1e-12, max_terms=10000):
-        if not (tol > 0.0 and math.isfinite(tol)):
-            raise DomainError(f"budget tol must be positive and finite, got {tol}")
-        if (max_terms := _index(max_terms, "budget max_terms")) < 1:
-            raise DomainError(f"budget max_terms must be >= 1, got {max_terms}")
-        return super().__new__(cls, tol, max_terms)
+        return super().__new__(cls, _real(tol, "budget tol", positive=True), _index(max_terms, "budget max_terms", 1))
 
 
 DEFAULT_BUDGET = TruncationBudget()
@@ -180,9 +194,7 @@ def hermite_poly(m, x):
     the recurrence leaves the double range (large m with large x).
     """
     if type(m) is not int or m < 0:
-        if m < 0 or m != int(m):
-            raise DomainError(f"Hermite degree must be a nonnegative integer, got {m}")
-        m = int(m)
+        m = _index(m, "Hermite degree", 0)
     if scalar := _is_number(x, real=True) or np.ndim(x) == 0:
         out = _hermite(m, float(x), 1.0)
     else:
@@ -210,12 +222,9 @@ def character(alpha, m):
     division rounds correctly) before exponentiating; chi(m1 + m2) =
     chi(m1) * chi(m2) then holds to roundoff for arbitrarily large |m|.
     """
-    if m != int(m):
-        raise DomainError(f"character argument must be an integer, got {m}")
-    if not math.isfinite(alpha):
-        raise DomainError(f"character exponent must be finite, got {alpha}")
-    num, den = float(alpha).as_integer_ratio()
-    frac = num * int(m) % den / den
+    m = _index(m, "character argument")
+    num, den = float(_real(alpha, "character exponent")).as_integer_ratio()
+    frac = num * m % den / den
     return cmath.exp(2j * math.pi * frac)
 
 

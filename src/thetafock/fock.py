@@ -44,8 +44,8 @@ import json
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _reduce
-from .core import bilateral_sum, character, np
+from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _real
+from .core import _reduce, bilateral_sum, character, np
 from .theta import _theta_value
 
 
@@ -55,11 +55,7 @@ class SpaceParams(namedtuple("SpaceParams", "nu alpha")):
     __slots__ = ()
 
     def __new__(cls, nu, alpha):
-        if not (nu > 0.0 and math.isfinite(nu)):
-            raise DomainError(f"nu must be positive and finite, got {nu}")
-        if not math.isfinite(alpha):
-            raise DomainError(f"alpha must be finite, got {alpha}")
-        return super().__new__(cls, float(nu), float(alpha))
+        return super().__new__(cls, float(_real(nu, "nu", positive=True)), float(_real(alpha, "alpha")))
 
 
 class _Expansion:
@@ -286,9 +282,7 @@ class FockElement(_Expansion):
 
 def quasiperiod_factor(z, m, params):
     """Automorphy factor chi_alpha(m) * exp(nu*(z + m/2)*m) of the lattice step m."""
-    if m != int(m):
-        raise DomainError(f"lattice step must be an integer, got {m}")
-    m, z = int(m), _as_complex(z)
+    m, z = _index(m, "lattice step"), _as_complex(z)
     with _quiet(z):  # a factor that left the double range is raised by _finite
         return _finite(_mul(character(params.alpha, m), _exp(params.nu * (z + m / 2.0) * m)), f"factor of step {m}")
 
@@ -309,7 +303,7 @@ def reproducing_kernel(z, w, params, budget=DEFAULT_BUDGET, path="theta"):
     psi_n(z) conj(psi_n(w)) directly under the truncation budget.
     """
     nu, alpha = params.nu, params.alpha
-    z, w = _as_complex(z), _as_complex(w)
+    z, w = _finite(_as_complex(z), "reproducing kernel"), _finite(_as_complex(w), "reproducing kernel")
     if path == "theta":
         cw = w.conjugate()
         logpref = 0.5 * math.log(2.0 * nu / math.pi) + 0.5 * nu * (_mul(z, z) + _mul(cw, cw))
@@ -343,7 +337,7 @@ def theta_member(targs, params, budget=DEFAULT_BUDGET):
     _check_character(targs, params)
 
     def f(w):
-        w = _as_complex(w)
+        w = _finite(_as_complex(w), "theta member")
         return _theta_value("theta member", targs.alpha, targs.beta, targs.tau, w, budget, _mul(0.5 * params.nu * w, w))
 
     return f

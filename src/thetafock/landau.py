@@ -78,6 +78,13 @@ _D_Z_STEP = tuple(d * _INV_STEP for d in D_Z)
 _D_ZZBAR_STEP = tuple(d / STEP**2 for d in D_ZZBAR)
 
 
+def _capped(m):
+    """Level m, refused above MAX_LEVEL: beyond it the constants leave the range where doubles are reliable."""
+    if m > MAX_LEVEL:
+        raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
+    return m
+
+
 @functools.lru_cache(maxsize=256)
 def _mode_constants(m, n, nu, alpha):
     """psi_{m,n}'s constants: expo = k0 + half*z^2 + lin*z, xi = s*Im z + t, and its name."""
@@ -99,11 +106,7 @@ def basis_psi_mn(m, n, z, params):
     where doubles are reliable.  A non-integral n raises DomainError.
     """
     if not (type(m) is int and 0 <= m <= MAX_LEVEL):
-        if m < 0 or m != int(m):
-            raise DomainError(f"level must be a nonnegative integer, got {m}")
-        if m > MAX_LEVEL:
-            raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
-        m = int(m)
+        m = _capped(_index(m, "level", 0))
     n = n if type(n) is int else _index(n)
     k0, half, lin, s, t, name = _mode_constants(m, n, params.nu, params.alpha)
     z = _as_complex(z)
@@ -127,16 +130,12 @@ class LandauElement(_Expansion):
     @staticmethod
     def _clean_key(key):
         m, n = key
-        if m < 0 or m != int(m):
-            raise DomainError(f"level must be a nonnegative integer, got {m}")
-        return int(m), _index(n)
+        return _index(m, "level", 0), _index(n)
 
     def _parts(self, z):
         levels, (nu, alpha) = {}, self.params
         for (m, n), c in self.coeffs:
-            if m > MAX_LEVEL:
-                raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
-            levels.setdefault(n, {})[m] = c
+            levels.setdefault(n, {})[_capped(m)] = c
 
         def coeff(n, z):  # sum over m of c_{m,n} h_m(xi) at the points, one recurrence up to the top level of n
             xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * (n + alpha)
@@ -159,7 +158,8 @@ class LandauElement(_Expansion):
 
     def project_level(self, m):
         """Orthogonal projection onto the eigenspace of eigenvalue nu*m."""
-        return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == int(m)})
+        m = _index(m, "level", 0)
+        return LandauElement(self.params, {(mm, n): c for (mm, n), c in self.coeffs if mm == m})
 
 
 def _apply(f, z, nu, weights):

@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DomainError, EvaluationError, _finite, _index, _quiet, np
+from .core import DomainError, EvaluationError, _finite, _index, _quiet, _real, np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,21 +46,14 @@ class StripScheme(namedtuple("StripScheme", "x_points y_order y_shift")):
     __slots__ = ()
 
     def __new__(cls, x_points=64, y_order=64, y_shift=0.0):
-        if (x_points := _index(x_points, "x_points")) < 4:
-            raise DomainError(f"x_points must be >= 4, got {x_points}")
-        if (y_order := _index(y_order, "y_order")) < 8:
-            raise DomainError(f"y_order must be >= 8, got {y_order}")
-        if not math.isfinite(y_shift):
-            raise DomainError(f"y_shift must be finite, got {y_shift}")
-        return super().__new__(cls, x_points, y_order, y_shift)
+        x_points, y_order = _index(x_points, "x_points", 4), _index(y_order, "y_order", 8)
+        return super().__new__(cls, x_points, y_order, _real(y_shift, "y_shift"))
 
     @classmethod
     def centered(cls, nu, alpha, n_bar):
         """Scheme recentered on the Gaussian bump of mode index n_bar
         (use the midpoint (n+m)/2 for a pair of modes n, m)."""
-        if not (nu > 0.0 and math.isfinite(nu)):
-            raise DomainError(f"nu must be positive and finite, got {nu}")
-        return cls(y_shift=-math.pi * (alpha + n_bar) / nu)
+        return cls(y_shift=-math.pi * (alpha + n_bar) / _real(nu, "nu", positive=True))
 
     def doubled(self):
         return StripScheme(2 * self.x_points, 2 * self.y_order, self.y_shift)
@@ -72,9 +65,7 @@ class LineScheme(namedtuple("LineScheme", "q_points")):
     __slots__ = ()
 
     def __new__(cls, q_points=256):
-        if (q_points := _index(q_points, "q_points")) < 4:
-            raise DomainError(f"q_points must be >= 4, got {q_points}")
-        return super().__new__(cls, q_points)
+        return super().__new__(cls, _index(q_points, "q_points", 4))
 
     def doubled(self):
         return LineScheme(2 * self.q_points)
@@ -111,8 +102,7 @@ def _evaluate_on(f, nodes, label):
 
 def _strip_rule(nu, scheme):
     """Node grid and root weights s of the strip rule, node weight s^2, as the outer product of an x and a y part."""
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise DomainError(f"nu must be positive and finite, got {nu}")
+    _real(nu, "nu", positive=True)
     xs = np.linspace(0.0, 1.0, scheme.x_points)
     u, wu = _hermgauss(scheme.y_order)
     ys = u / math.sqrt(nu) + scheme.y_shift

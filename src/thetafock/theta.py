@@ -125,7 +125,8 @@ def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
 
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):
     """theta_{alpha,beta}(z | tau) for scalar or ndarray z."""
-    return _theta_value("theta series", args.alpha, args.beta, args.tau, _as_complex(z), budget)
+    z = _finite(_as_complex(z), "theta series")
+    return _theta_value("theta series", args.alpha, args.beta, args.tau, z, budget)
 
 
 def jacobi_theta3(z, tau, budget=DEFAULT_BUDGET):

@@ -29,7 +29,7 @@ from .bargmann import (
     generating_kernel_sum,
     phi_basis,
 )
-from .core import DomainError, TruncationBudget, np
+from .core import DomainError, TruncationBudget, _real, np
 from .fock import (
     FockElement,
     SpaceParams,
@@ -401,8 +401,8 @@ CRITERIA = (
 def run_acceptance(tol=None):
     """Run all acceptance criteria; tol, when given, replaces every pinned
     tolerance; it must be a finite positive number."""
-    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if tol is not None:
+        _real(tol, "tol", positive=True)
     start = time.perf_counter()
     cases = [case for criterion in CRITERIA for case in criterion()]
     if tol is not None:

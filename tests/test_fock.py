@@ -56,8 +56,9 @@ def test_space_params_store_python_floats():
     lambda n: phi_basis(n, 0.4, 0.3),
 ], ids=["basis_psi", "basis_e", "e_norm", "phi_basis"])
 def test_mode_index_must_be_an_integer(mode):
-    with pytest.raises(DomainError, match="mode index must be an integer"):
-        mode(0.5)
+    for n in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^mode index must be an integer, got {n}$"):
+            mode(n)
     assert mode(np.int64(2)) == mode(2)
 
 

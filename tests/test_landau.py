@@ -42,6 +42,15 @@ def test_level_validation():
         basis_psi_mn(41, 0, 0.1, PARAMS)
     with pytest.raises(DomainError):
         basis_psi_mn(1.5, 0, 0.1, PARAMS)
+    # nan, inf and a fraction raise DomainError naming the level, at every entry that takes one
+    elem = LandauElement(PARAMS, {(1, 0): 1.0, (2, 0): 1.0})
+    for m in (math.nan, math.inf, 1.5):
+        for build in (lambda: basis_psi_mn(m, 0, 0.1, PARAMS), lambda: LandauElement(PARAMS, {(m, 0): 1.0}),
+                      lambda: elem.project_level(m)):
+            with pytest.raises(DomainError, match=f"^level must be an integer, got {m}$"):
+                build()
+    with pytest.raises(DomainError, match="^level must be >= 0, got -1$"):
+        elem.project_level(-1)
     # a fractional Fourier index raises, as LandauElement's keys do, instead of truncating to psi_{1,0}
     with pytest.raises(DomainError, match="mode index must be an integer"):
         basis_psi_mn(1, 0.5, 0.2 + 0.1j, SpaceParams(2.0, 0.3))

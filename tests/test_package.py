@@ -17,14 +17,15 @@ import pytest
 
 import thetafock
 from thetafock.bargmann import LineElement
-from thetafock.core import DomainError, TruncationBudget
-from thetafock.fock import FockElement, MembershipResult, SpaceParams
+from thetafock.core import DomainError, TruncationBudget, character, hermite_poly
+from thetafock.fock import FockElement, MembershipResult, SpaceParams, quasiperiod_factor
 from thetafock.landau import LandauElement
 from thetafock.quadrature import LineScheme, StripScheme
 from thetafock.theta import ThetaArgs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SUBMODULES = ("bargmann", "cli", "core", "fock", "landau", "quadrature", "theta", "verify")
+NAN_INF = (float("nan"), float("inf"))
 
 
 def test_import_loads_no_submodule():
@@ -61,6 +62,23 @@ def test_errstate_only_in_core():
             if isinstance(node, ast.Attribute) and node.attr == "errstate"]
     assert len(spans) == 3 and uses, uses
     assert all(path == core.name and any(lo <= i <= hi for lo, hi in spans) for path, i in uses), uses
+
+
+def test_argument_rule_only_in_core():
+    # every integer and real argument is checked by core._index and core._real; no module words its own check
+    uses = [(path.name, i) for path in sorted(SRC.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "must be an integer" in line or "finite, got" in line]
+    assert uses and {path for path, _ in uses} == {"core.py"}, uses
+
+
+def test_cli_handlers_import_nothing():
+    # a handler reaches the library as tf.<name>, through the package's lazy names
+    tree = ast.parse((SRC / "thetafock" / "cli.py").read_text())
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    imports = [(node.name, inner.lineno) for node in handlers for inner in ast.walk(node)
+               if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert len(handlers) == 11 and imports == [], imports
 
 
 def test_names_resolve_to_the_defining_module():
@@ -174,6 +192,19 @@ def test_integral_counts_are_stored_as_int():
     (lambda: TruncationBudget(max_terms=2.5), "budget max_terms must be an integer, got 2.5"),
     (lambda: StripScheme.centered(float("nan"), 0.3, 0), "nu must be positive and finite, got nan"),
     (lambda: StripScheme.centered(float("inf"), 0.3, 0), "nu must be positive and finite, got inf"),
+    # nan and inf in every count, degree, argument, step and element key raise naming it, not the error of int()
+    *[(lambda build=build, v=v: build(v), f"{what} must be an integer, got {v}") for build, what, values in [
+        (lambda v: StripScheme(v), "x_points", NAN_INF), (lambda v: StripScheme(y_order=v), "y_order", NAN_INF),
+        (lambda v: LineScheme(v), "q_points", NAN_INF),
+        (lambda v: TruncationBudget(max_terms=v), "budget max_terms", NAN_INF),
+        (lambda v: hermite_poly(v, 0.3), "Hermite degree", (*NAN_INF, 0.5)),
+        (lambda v: character(0.3, v), "character argument", (*NAN_INF, 0.5)),
+        (lambda v: quasiperiod_factor(0.3, v, SpaceParams(2.0, 0.3)), "lattice step", (*NAN_INF, 0.5)),
+        (lambda v: FockElement(SpaceParams(2.0, 0.3), {v: 1}), "mode index", (float("nan"),)),
+        (lambda v: LineElement(0.3, {v: 1}), "mode index", (float("inf"),)),
+        (lambda v: LandauElement(SpaceParams(2.0, 0.3), {(0, v): 1}), "mode index", (float("-inf"),)),
+    ] for v in values],
+    (lambda: hermite_poly(-1, 0.3), "Hermite degree must be >= 0, got -1"),
 ])
 def test_value_type_domain_errors(build, message):
     with pytest.raises(DomainError, match=f"^{message}$"):

@@ -287,3 +287,26 @@ def test_zero_dimensional_array_gives_the_python_number(name):
     kind = float if name in ("hermite_poly", "pointwise_bound") else complex
     value = f(np.asarray(v))
     assert type(value) is kind and repr(value) == repr(f(v))  # repr: the same bits, the sign of a zero too
+
+
+# Each theta path, with the quantity its check of the points names
+_THETA_PATHS = {
+    "riemann_theta": (lambda x: riemann_theta(ThetaArgs(0.3, 0.1, 0.2 + 0.7j), x), "theta series"),
+    "kernel theta": (lambda x: reproducing_kernel(x, 0.7 - 0.4j, _P), "reproducing kernel"),
+    "kernel sum": (lambda x: reproducing_kernel(0.7 - 0.4j, x, _P, path="sum"), "reproducing kernel"),
+    "G": (lambda x: generating_kernel_G(x, 0.5, _P), "generating kernel G"),
+    "generating sum": (lambda x: generating_kernel_sum(0.3 + 0.2j, x, _P), "generating kernel sum"),
+    "A": (lambda x: bargmann_kernel_A(x, 0.5, _P), "Bargmann kernel A"),
+    "theta_member": (theta_member(ThetaArgs(0.3, 0.1, 0.2 + 1.7j), _P), "theta member"),
+}
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.2), complex(0.3, math.nan), complex(math.inf, 0.2),
+                               complex(0.3, math.inf)], ids=str)
+@pytest.mark.parametrize("name", sorted(_THETA_PATHS))
+def test_non_finite_point_raises_alike_on_both_routes(name, z):
+    # the point is checked at entry: one OverflowError on a Python complex and on an array, before any warning
+    f, what = _THETA_PATHS[name]
+    for x in (z, np.array([z])):
+        with pytest.raises(OverflowError, match=f"^{what} overflowed the double range$"):
+            f(x)
