@@ -41,8 +41,10 @@ START_INTERVALS, MAX_INTERVALS = 256, 4096
 
 def phi_basis(n, q, alpha):
     """Line mode phi_n(q) = 2^(-1/4) exp(sqrt(2) i pi (n+alpha) q)."""
-    n, q = n if type(n) is int else _index(n), _as_complex(q)
-    return _finite_exp(2.0 ** (-0.25), SQRT2 * 1j * math.pi * (n + alpha) * q, f"phi_{n}")
+    n = n if type(n) is int else _index(n)
+    name = f"phi_{n}"
+    q = _finite(_as_complex(q), name)  # on both routes: a number at Im q = +-inf would give exp(-inf + nan i) = 0
+    return _finite_exp(2.0 ** (-0.25), SQRT2 * 1j * math.pi * (n + alpha) * q, name)
 
 
 class LineElement(_Expansion):

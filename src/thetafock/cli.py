@@ -90,21 +90,27 @@ def _value(value):
 
 
 def _element_out(elem, out):
-    """Result of a leaf that prints an element, and writes it to the path `out` unless that is None."""
+    """Result of a leaf that prints an element, and writes it to the path `out` unless that is None;
+    a path that cannot be written is a usage error."""
     payload = elem.to_dict()
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {out}: {exc}") from None
     return 0, payload, [dict(c) for c in payload["coeffs"]]
 
 
 def _load_element(path, cls):
-    """The cls element stored as JSON at path; a missing or malformed file is a usage error."""
+    """The cls element stored as JSON at path; a missing, unreadable or malformed file is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, a file without read access, bytes not in UTF-8
+        raise UsageError(f"cannot read input file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
     except DomainError as exc:

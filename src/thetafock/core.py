@@ -20,14 +20,17 @@ Overflow: members grow like e^{nu |z|^2 / 2}, so the modes, the lattice factor
 and the strip sums sit near the edge of the double range.  The rule for them
 lives here: a closed-form exponential leaves through _finite_exp, a sum through
 _finite, and either raises OverflowError naming its quantity rather than return
-inf or nan.  Array work that may overflow runs under _quiet (np.errstate, used
-nowhere outside this module); a Python number enters no context manager.
+inf or nan.  Array work that may overflow runs under _quiet, the one place that
+sets numpy's error state; a Python number enters no context manager.
 
 Arguments: every index, level, lattice step and count goes through _index and
 every real parameter through _real, which raise DomainError naming the argument
 for a nan, infinite, fractional or out-of-range value.  The theta paths pass
 their points through _finite at entry: a nan or infinite point raises the
-path's OverflowError before any arithmetic, on both routes.
+path's OverflowError before any arithmetic, on both routes.  The modes e_n,
+psi_n and psi_{m,n} check an array's points so; a Python number, on which no
+arithmetic warns, goes unchecked to _finite_exp, which raises alike.  phi_n
+checks a number too, since its exp(-inf + nan*i) would return 0.
 
 What loads when: this module imports only the standard library, and numpy
 lazily as above.  The library's value types (TruncationBudget here,
@@ -94,9 +97,9 @@ def _real(value, what, positive=False):
     return value
 
 
-class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
+class TruncationBudget(namedtuple("TruncationBudget", "tol")):
     """Truncation policy of every series: tol bounds the tail left out
-    relative to sum |term|, and max_terms caps the one-sided terms.  The theta
+    relative to sum |term|, within MAX_TERMS one-sided terms.  The theta
     window (theta._theta_exp) takes its width from tol in closed form and
     walks it by term ratios; bilateral_sum stops on tol and raises once the
     rounding, eps * sum |term|, exceeds tol relative to the sum; and
@@ -104,24 +107,24 @@ class TruncationBudget(namedtuple("TruncationBudget", "tol max_terms")):
 
     __slots__ = ()
 
-    def __new__(cls, tol=1e-12, max_terms=10000):
-        return super().__new__(cls, _real(tol, "budget tol", positive=True), _index(max_terms, "budget max_terms", 1))
+    def __new__(cls, tol=1e-12):
+        return super().__new__(cls, _real(tol, "budget tol", positive=True))
 
 
 DEFAULT_BUDGET = TruncationBudget()
+MAX_TERMS = 10000  # one-sided terms of any series: the theta window and bilateral_sum raise beyond it
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-_COMPLEXES, _REALS = (complex, float, int), (float, int)
+_COMPLEXES = (complex, float, int)
 _QUIET = contextlib.nullcontext()
 _TWO_K = tuple(map(float, range(0, 128, 2)))  # 2.0*k for k < 64, the factors of hermite_poly's recurrence
 
 
-def _is_number(x, real=False):
-    """True if x takes the scalar route: a number (a real one if `real`), not an
-    array.  The exact types complex, float and int answer from type(x); only
-    other types (numpy scalars, bool, Fraction) ask numbers.Complex or
-    numbers.Real."""
-    return type(x) in (_REALS if real else _COMPLEXES) or isinstance(x, numbers.Real if real else numbers.Complex)
+def _is_number(x):
+    """True if x takes the scalar route: a number, not an array.  The exact types
+    complex, float and int answer from type(x); only other types (numpy scalars,
+    bool, Fraction) ask numbers.Complex."""
+    return type(x) in _COMPLEXES or isinstance(x, numbers.Complex)
 
 
 def _as_complex(z):
@@ -172,17 +175,17 @@ def _finite(vals, what):
         return vals
     scalar = _is_number(vals)
     vals = complex(vals) if scalar else np.asarray(vals, dtype=complex)
-    if not (cmath.isfinite(vals) if scalar else np.all(np.isfinite(vals))):
+    if not (cmath.isfinite(vals) if scalar else np.isfinite(vals).all()):
         raise OverflowError(f"{what} overflowed the double range")
     return vals
 
 
 def _finite_exp(scale, expo, what):
-    """scale * exp(expo) through _finite.  An ndarray runs under np.errstate, as _finite reports its overflow; a
+    """scale * exp(expo) through _finite.  An ndarray runs under _quiet, as _finite reports its overflow; a
     Python number enters no context manager, since the sum oracles call the modes term by term."""
     if type(expo) is complex:
         return _finite(scale * _exp(expo), what)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(expo):
         return _finite(scale * np.exp(expo), what)
 
 
@@ -195,12 +198,12 @@ def hermite_poly(m, x):
     """
     if type(m) is not int or m < 0:
         m = _index(m, "Hermite degree", 0)
-    if scalar := _is_number(x, real=True) or np.ndim(x) == 0:
+    if scalar := _is_number(x) or np.ndim(x) == 0:
         out = _hermite(m, float(x), 1.0)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        with _quiet(x):  # overflow is raised below
             out = _hermite(m, np.asarray(x, dtype=float), np.ones(np.shape(x)))
-    if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
+    if not (math.isfinite(out) if scalar else np.isfinite(out).all()):
         raise OverflowError(f"Hermite recurrence overflowed at degree {m}")
     return out
 
@@ -235,7 +238,7 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     A side stops once its last two terms are below 0.1 * budget.tol of the
     running sum |term| of every entry and decay by more than 1/2, so the tail
     is below budget.tol * sum |term|.  Raises TruncationError when
-    budget.max_terms one-sided terms do not get there, or when the sum cancels:
+    MAX_TERMS one-sided terms do not get there, or when the sum cancels:
     sum |term| / |sum term| > budget.tol / eps at some entry.
     """
     center = int(center)
@@ -246,7 +249,7 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
     with _quiet(total):  # a term that overflowed leaves inf or nan in the total, for the caller's _finite
         # _TINY keeps both ratios defined while every term is exactly 0.
         absum = abs(total) + _TINY
-        for k in range(1, budget.max_terms + 1):
+        for k in range(1, MAX_TERMS + 1):
             for sign in (+1, -1):
                 if done[sign]:
                     continue
@@ -265,6 +268,6 @@ def bilateral_sum(term, center, budget=DEFAULT_BUDGET):
                 return total
     last = max(prev[+1], prev[-1])
     raise TruncationError(
-        f"bilateral series not certified after {budget.max_terms} one-sided terms;"
+        f"bilateral series not certified after {MAX_TERMS} one-sided terms;"
         f" last term {last:.3e} of sum |term| vs tol {budget.tol:.3e}"
     )

@@ -40,7 +40,6 @@ builds its normalization inside one exp call, a member sum (_psi_sum) takes
 one exp per point for all its modes.
 """
 
-import json
 import math
 from collections import namedtuple
 
@@ -145,17 +144,12 @@ class _Expansion:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed element record: {exc}") from exc
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def basis_e(n, z, params):
     """Quasi-periodic Gaussian mode e_n(z) = exp((nu/2) z^2 + 2 i pi (alpha+n) z)."""
     n, z = n if type(n) is int else _index(n), _as_complex(z)
+    if type(z) is not complex:  # an array's points are checked at entry, before any arithmetic can warn
+        z = _finite(z, f"e_{n}")
     return _finite_exp(1.0, _mul(0.5 * params.nu * z, z) + 2j * math.pi * (params.alpha + n) * z, f"e_{n}")
 
 
@@ -169,6 +163,8 @@ def e_norm(n, params):
 def basis_psi(n, z, params):
     """Orthonormal mode psi_n = e_n / ||e_n||, assembled in a single exponential."""
     n, z = n if type(n) is int else _index(n), _as_complex(z)
+    if type(z) is not complex:  # as in basis_e
+        z = _finite(z, f"psi_{n}")
     c = params.alpha + n
     expo = _mul(0.5 * params.nu * z, z) + 2j * math.pi * c * z - (math.pi**2 / params.nu) * c * c
     return _finite_exp((2.0 * params.nu / math.pi) ** 0.25, expo, f"psi_{n}")

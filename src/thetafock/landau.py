@@ -44,8 +44,9 @@ import functools
 import math
 import sys
 
-from .core import DomainError, EvaluationError, _as_complex, _finite, _finite_exp, _mul, _quiet, hermite_poly, np
-from .fock import _Expansion, _index, _psi_sum
+from .core import DomainError, EvaluationError, _as_complex, _finite, _finite_exp, _index, _mul, _quiet
+from .core import hermite_poly, np
+from .fock import _Expansion, _psi_sum
 from .quadrature import _evaluate_on
 
 MAX_LEVEL = 40
@@ -110,13 +111,16 @@ def basis_psi_mn(m, n, z, params):
     n = n if type(n) is int else _index(n)
     k0, half, lin, s, t, name = _mode_constants(m, n, params.nu, params.alpha)
     z = _as_complex(z)
-    expo = k0 + _mul(half * z, z) + lin * z
-    h = hermite_poly(m, s * z.imag + t)
+    h = hermite_poly(m, s * z.imag + t)  # first: a non-finite Im z raises H_m's overflow on both routes
     if type(z) is complex:
+        expo = k0 + _mul(half * z, z) + lin * z
         if not _LOG_MIN <= expo.real <= _LOG_MAX:
             h, e = math.frexp(h)
             expo += e * _LN2
-    elif (outside := (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)).any():
+        return _finite_exp(h, expo, name)
+    z = _finite(z, name)  # as in fock.basis_e
+    expo = k0 + _mul(half * z, z) + lin * z
+    if (outside := (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)).any():
         mantissa, e = np.frexp(h)
         expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
     return _finite_exp(h, expo, name)

@@ -21,7 +21,7 @@ peak index n0 = round(-Im z / Im tau).  The rest has |Im z| <= Im tau / 2, a
 central term 1 and terms below exp(-pi*Im tau*|m|*(|m|-1)), so S sums the
 window -N..N with N set by Im tau and budget.tol in closed form (Deconinck et
 al., Computing Riemann theta functions, Math. Comp. 73, 2004): the tail left
-out is below budget.tol * sum |term| of the window; N above budget.max_terms
+out is below budget.tol * sum |term| of the window; N above core.MAX_TERMS
 raises TruncationError.  Near a zero of theta the window cancels to its
 rounding, eps * sum |term|, which is what is certified there.  Each side walks
 from t_0 = 1 by t_{+-(k+1)} = t_{+-k} r q^k, r = exp(i pi tau +- 2 i pi z),
@@ -34,8 +34,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DEFAULT_BUDGET, DomainError, TruncationError, _as_complex, _exp, _finite, _imul, _is_number, _mul
-from .core import _quiet, np
+from .core import DEFAULT_BUDGET, MAX_TERMS, DomainError, TruncationError, _as_complex, _exp, _finite, _imul
+from .core import _is_number, _mul, _quiet, np
 
 
 class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
@@ -52,14 +52,14 @@ class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
 
 
 @lru_cache(maxsize=64)
-def _window(t, tol, max_terms):
+def _window(t, tol):
     """One-sided width N of the centred theta3 window -N..N at Im tau = t: the least N >= 1
     whose tail bound 2 exp(-pi t N (N+1)) / (1 - exp(-2 pi t (N+1))) is <= tol."""
     n = 1
     while 2.0 * math.exp(-math.pi * t * n * (n + 1)) > -tol * math.expm1(-2.0 * math.pi * t * (n + 1)):
         n += 1
-        if n > max_terms:
-            raise TruncationError(f"theta window needs more than {max_terms} one-sided terms at Im tau = {t:.3e}")
+        if n > MAX_TERMS:
+            raise TruncationError(f"theta window needs more than {MAX_TERMS} one-sided terms at Im tau = {t:.3e}")
     return n
 
 
@@ -91,7 +91,7 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
     n0 = rint(-z.imag / tau.imag)
     E += 1j * math.pi * n0 * (n0 * tau + 2.0 * z)
     z += n0 * tau
-    n, quad, q = _window(tau.imag, budget.tol, budget.max_terms), 1j * math.pi * tau, cmath.exp(2j * math.pi * tau)
+    n, quad, q = _window(tau.imag, budget.tol), 1j * math.pi * tau, cmath.exp(2j * math.pi * tau)
     z *= 2j * math.pi
     if isinstance(z, complex):
         S = 1.0 + 0j

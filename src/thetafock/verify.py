@@ -380,22 +380,8 @@ def criterion_truncation_soundness():
     ]
 
 
-CRITERIA = (
-    criterion_orthonormal_basis,
-    criterion_mode_norm,
-    criterion_parseval,
-    criterion_kernel_two_path,
-    criterion_kernel_reproduces,
-    criterion_growth_bound,
-    criterion_theta_membership,
-    criterion_transform_transport,
-    criterion_kernel_equals_generating,
-    criterion_landau_eigenvalues,
-    criterion_ladder,
-    criterion_eigenmode_gram,
-    criterion_theta_integral_identity,
-    criterion_truncation_soundness,
-)
+# Every criterion_* function of this module, in definition order: a criterion defined is a criterion run.
+CRITERIA = tuple(f for name, f in globals().items() if name.startswith("criterion_"))
 
 
 def run_acceptance(tol=None):

@@ -66,7 +66,7 @@ _NEGATIVE_VALUES = {
 @pytest.mark.parametrize("option", sorted(_NEGATIVE_VALUES))
 def test_negative_numbers_spaced_or_joined(option, tmp_path):
     fock = tmp_path / "fock.json"
-    fock.write_text(FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {0: 1.0, 1: 0.5j}).to_json())
+    fock.write_text(json.dumps(FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {0: 1.0, 1: 0.5j}).to_dict()))
     argv, value = _NEGATIVE_VALUES[option]
     argv = [a.format(fock=fock) for a in argv]
     spaced, joined = run_command(argv + [option, value]), run_command(argv + [f"{option}={value}"])
@@ -139,7 +139,7 @@ def test_bargmann_forward_and_inverse(tmp_path):
     )
     out_path = tmp_path / "fock.json"
     run_ok(["bargmann", "forward", "--in", str(line_path), "--out", str(out_path)])
-    elem = FockElement.from_json(out_path.read_text())
+    elem = FockElement.from_dict(json.loads(out_path.read_text()))
     assert elem.params.nu == pytest.approx(math.pi)
     psi_coeffs = elem.psi_coeffs()
     assert psi_coeffs[0] == pytest.approx(1.0, rel=1e-12)
@@ -165,7 +165,7 @@ def phi(n, q):
 def test_landau_commands(tmp_path):
     elem = LandauElement(SpaceParams(math.pi, 0.3), {(1, 0): 1.0, (0, 1): 0.5j})
     in_path = tmp_path / "elem.json"
-    in_path.write_text(elem.to_json())
+    in_path.write_text(json.dumps(elem.to_dict()))
 
     text = run_ok(["landau", "apply", "--in", str(in_path), "--z", "0.2+0.1i"])
     payload = json.loads(text)
@@ -174,12 +174,12 @@ def test_landau_commands(tmp_path):
 
     up_path = tmp_path / "up.json"
     run_ok(["landau", "raise", "--in", str(in_path), "--out", str(up_path)])
-    up = LandauElement.from_json(up_path.read_text())
+    up = LandauElement.from_dict(json.loads(up_path.read_text()))
     assert up.coeff_dict() == {(2, 0): 1.0, (1, 1): 0.5j}
 
     down_path = tmp_path / "down.json"
     run_ok(["landau", "lower", "--in", str(in_path), "--out", str(down_path)])
-    down = LandauElement.from_json(down_path.read_text())
+    down = LandauElement.from_dict(json.loads(down_path.read_text()))
     assert down.coeff_dict() == {(0, 0): 1.0}
 
     text = run_ok(["landau", "eigres", "--nu", "3.14159265", "--alpha", "0.3", "--m", "2", "--n", "0"])
@@ -250,14 +250,14 @@ def test_exit_codes():
 def test_inverse_names_the_coefficient_that_overflowed(tmp_path):
     # a_6 = 1 is stored, but c_6 = a_6 ||e_6|| ~ e^783 at nu = 0.5 is past the double range
     elem = tmp_path / "fock.json"
-    elem.write_text(FockElement(SpaceParams(0.5, 0.3), {6: 1.0}).to_json())
+    elem.write_text(json.dumps(FockElement(SpaceParams(0.5, 0.3), {6: 1.0}).to_dict()))
     code, text = run_command(["bargmann", "inverse", "--in", str(elem), "--q", "0.4"])
     assert (code, text) == (1, "error: psi coefficient c_6 overflowed the double range")
 
 
 def test_non_finite_numbers_are_usage_errors(tmp_path):
     elem = tmp_path / "fock.json"
-    elem.write_text(FockElement.from_psi_coeffs(SpaceParams(math.pi, 0.3), {0: 1.0}).to_json())
+    elem.write_text(json.dumps(FockElement.from_psi_coeffs(SpaceParams(math.pi, 0.3), {0: 1.0}).to_dict()))
     for q in ("nan", "inf", "abc"):
         code, text = run_command(["bargmann", "inverse", "--in", str(elem), "--q", q])
         assert code == 64, text
@@ -346,6 +346,25 @@ def test_duplicate_key_record_is_usage_error(tmp_path):
     bad.write_text(json.dumps({"nu": 0.5, "alpha": 0.3, "coeffs": rows}))
     code, text = run_command(["bargmann", "inverse", "--in", str(bad), "--q", "0.4"])
     assert code == 64 and "malformed element record: duplicate key" in text, text
+
+
+@pytest.mark.parametrize("case", ("directory", "not-utf-8", "unwritable"))
+def test_file_that_cannot_be_read_or_written_is_usage_error(tmp_path, case):
+    # an --in that is a directory or not UTF-8, an --out in a missing directory: exit 64 naming the path, no traceback
+    line, binary = tmp_path / "line.json", tmp_path / "binary.json"
+    line.write_text(json.dumps({"alpha": 0.3, "coeffs": [{"n": 0, "re": 1.0, "im": 0.0}]}))
+    binary.write_bytes(b"\xff\xfe{}")
+    missing = tmp_path / "missing" / "x.json"
+    path, argv = {
+        "directory": (tmp_path, ["bargmann", "inverse", "--in", str(tmp_path), "--q", "0.3"]),
+        "not-utf-8": (binary, ["bargmann", "inverse", "--in", str(binary), "--q", "0.3"]),
+        "unwritable": (missing, ["bargmann", "forward", "--in", str(line), "--out", str(missing)]),
+    }[case]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetafock.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "thetafock.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 64 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("usage error: ") and str(path) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_forward_of_a_mode_whose_e_coefficient_underflows(tmp_path):

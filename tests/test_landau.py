@@ -1,5 +1,6 @@
 """Landau operator: eigenmodes, finite differences, ladder bookkeeping."""
 
+import json
 import math
 import warnings
 
@@ -282,7 +283,7 @@ def test_element_validation_and_json():
     with pytest.raises(DomainError):
         LandauElement(PARAMS, {(-1, 0): 1.0})
     elem = LandauElement(PARAMS, {(2, -1): 0.3 - 0.2j})
-    back = LandauElement.from_json(elem.to_json())
+    back = LandauElement.from_dict(json.loads(json.dumps(elem.to_dict())))
     assert back == elem
     with pytest.raises(DomainError):
         LandauElement.from_dict({"nu": 1.0, "alpha": 0.0, "coeffs": [{"m": 0, "n": 0}]})

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -79,7 +80,8 @@ def test_no_module_loads_dataclasses():
 def test_array_evaluation_loads_no_numpy_ma(tmp_path):
     # np.unique and its kin import numpy.ma (~14 ms) on first use; no element sum or array leaf needs them
     fock = tmp_path / "fock.json"
-    fock.write_text(FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {-1: 0.5, 0: 1.0, 2: 0.3j}).to_json())
+    elem = FockElement.from_psi_coeffs(SpaceParams(2.0, 0.3), {-1: 0.5, 0: 1.0, 2: 0.3j})
+    fock.write_text(json.dumps(elem.to_dict()))
     code = f"""
 import sys, numpy as np
 from thetafock.bargmann import LineElement
@@ -104,7 +106,7 @@ assert "numpy.ma" not in sys.modules
 def test_scalar_leaf_executes_no_numpy(leaf, tmp_path):
     files = {name: tmp_path / f"{name}.json" for name in ("line", "fock", "landau", "out")}
     files["line"].write_text(json.dumps(LineElement(0.2, {-1: 0.5, 0: 1.0, 2: 0.3j}).to_dict()))
-    files["fock"].write_text(FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {0: 1.0, 3: 0.5}).to_json())
+    files["fock"].write_text(json.dumps(FockElement.from_psi_coeffs(SpaceParams(0.5, 0.3), {0: 1.0, 3: 0.5}).to_dict()))
     files["landau"].write_text(json.dumps(LandauElement(SpaceParams(2.0, 0.3), {(0, 1): 1.0, (2, -1): 0.5j}).to_dict()))
     argv = [a.format(**files) for a in SCALAR_LEAVES[leaf]]
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -289,8 +291,8 @@ def test_zero_dimensional_array_gives_the_python_number(name):
     assert type(value) is kind and repr(value) == repr(f(v))  # repr: the same bits, the sign of a zero too
 
 
-# Each theta path, with the quantity its check of the points names
-_THETA_PATHS = {
+# Each theta path and mode, with the quantity its OverflowError at a non-finite point names
+_POINT_PATHS = {
     "riemann_theta": (lambda x: riemann_theta(ThetaArgs(0.3, 0.1, 0.2 + 0.7j), x), "theta series"),
     "kernel theta": (lambda x: reproducing_kernel(x, 0.7 - 0.4j, _P), "reproducing kernel"),
     "kernel sum": (lambda x: reproducing_kernel(0.7 - 0.4j, x, _P, path="sum"), "reproducing kernel"),
@@ -298,15 +300,29 @@ _THETA_PATHS = {
     "generating sum": (lambda x: generating_kernel_sum(0.3 + 0.2j, x, _P), "generating kernel sum"),
     "A": (lambda x: bargmann_kernel_A(x, 0.5, _P), "Bargmann kernel A"),
     "theta_member": (theta_member(ThetaArgs(0.3, 0.1, 0.2 + 1.7j), _P), "theta member"),
+    "basis_e": (lambda x: basis_e(1, x, _P), "e_1"),
+    "basis_psi": (lambda x: basis_psi(-2, x, _P), "psi_-2"),
+    "basis_psi_mn": (lambda x: basis_psi_mn(0, 1, x, _P), "psi_{0,1}"),
+    "phi_basis": (lambda x: phi_basis(1, x, 0.3), "phi_1"),
 }
+_NON_FINITE = [complex(math.nan, 0.2), complex(0.3, math.nan), complex(math.inf, 0.2), complex(0.3, math.inf)]
 
 
-@pytest.mark.parametrize("z", [complex(math.nan, 0.2), complex(0.3, math.nan), complex(math.inf, 0.2),
-                               complex(0.3, math.inf)], ids=str)
-@pytest.mark.parametrize("name", sorted(_THETA_PATHS))
+@pytest.mark.parametrize("z", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", sorted(_POINT_PATHS))
 def test_non_finite_point_raises_alike_on_both_routes(name, z):
-    # the point is checked at entry: one OverflowError on a Python complex and on an array, before any warning
-    f, what = _THETA_PATHS[name]
-    for x in (z, np.array([z])):
-        with pytest.raises(OverflowError, match=f"^{what} overflowed the double range$"):
+    # a theta path checks the point at entry, a mode an array's points: one OverflowError on a Python complex, a 0-d
+    # array and a 1-element array, before any warning
+    f, what = _POINT_PATHS[name]
+    for x in (z, np.asarray(z), np.array([z])):
+        with pytest.raises(OverflowError, match=f"^{re.escape(what)} overflowed the double range$"):
             f(x)
+
+
+@pytest.mark.parametrize("z", _NON_FINITE, ids=str)
+def test_landau_mode_above_level_zero_raises_alike_at_a_non_finite_point(z):
+    # above level 0 a non-finite Im z overflows H_m first, so that error names the recurrence; on every route alike
+    expected = "Hermite recurrence overflowed at degree 2" if not math.isfinite(z.imag) else "psi_{2,1} overflowed the"
+    for x in (z, np.asarray(z), np.array([z])):
+        with pytest.raises(OverflowError, match=f"^{re.escape(expected)}"):
+            basis_psi_mn(2, 1, x, _P)

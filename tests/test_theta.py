@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetafock.core import DomainError, TruncationBudget, TruncationError
+from thetafock import theta
+from thetafock.bargmann import bargmann_kernel_A
+from thetafock.core import DomainError, TruncationError
+from thetafock.fock import SpaceParams
 from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 
@@ -134,15 +137,20 @@ def test_domain_validation():
 
 
 def test_truncation_budget_exhaustion():
-    with pytest.raises(TruncationError):
-        jacobi_theta3(0.0, 1j, TruncationBudget(tol=1e-12, max_terms=1))
+    # without the inversion law (the path of A) Im tau = 3e-8 needs a window of ~19,000 one-sided terms
+    with pytest.raises(TruncationError, match="^theta window needs more than 10000 one-sided terms at Im tau = 3"):
+        bargmann_kernel_A(0.2 + 0.1j, 0.5, SpaceParams(3e-8 * math.pi, 0.3))
 
 
-def test_small_im_tau_reduced_by_inversion():
-    # 0.001i is certified after the inversion law, in a window of a few terms
-    ours = jacobi_theta3(0.0, 0.001j, TruncationBudget(tol=1e-12, max_terms=5))
+def test_small_im_tau_reduced_by_inversion(monkeypatch):
+    # 0.001i is certified after the inversion law, at Im tau = 1000, in a window of a few terms
+    widths = []
+    window = theta._window
+    monkeypatch.setattr(theta, "_window", lambda t, tol: widths.append(window(t, tol)) or widths[-1])
+    ours = jacobi_theta3(0.0, 0.001j)
     ref = mp_theta3(0.0, 0.001j)
     assert abs(ours - ref) <= 1e-12 * abs(ref)
+    assert len(widths) == 1 and widths[0] == window(1000.0, 1e-12) <= 5
 
 
 def test_window_follows_offcenter_peak():
