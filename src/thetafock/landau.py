@@ -44,12 +44,11 @@ import functools
 import math
 import sys
 
-from .core import DomainError, EvaluationError, _as_complex, _finite, _finite_exp, _index, _mul, _quiet
+from .core import EvaluationError, _as_complex, _finite, _finite_exp, _index, _mul, _quiet
 from .core import hermite_poly, np
 from .fock import _Expansion, _psi_sum
 from .quadrature import _evaluate_on
 
-MAX_LEVEL = 40
 STEP = 1e-4
 # Sample points of the eigen-equation checks (verify, `landau eigres`).
 SAMPLE_Z = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j, 0.65 - 0.75j, 0.5 + 1.0j)
@@ -79,13 +78,6 @@ _D_Z_STEP = tuple(d * _INV_STEP for d in D_Z)
 _D_ZZBAR_STEP = tuple(d / STEP**2 for d in D_ZZBAR)
 
 
-def _capped(m):
-    """Level m, refused above MAX_LEVEL: beyond it the constants leave the range where doubles are reliable."""
-    if m > MAX_LEVEL:
-        raise DomainError(f"level {m} exceeds the supported maximum {MAX_LEVEL}")
-    return m
-
-
 @functools.lru_cache(maxsize=256)
 def _mode_constants(m, n, nu, alpha):
     """psi_{m,n}'s constants: expo = k0 + half*z^2 + lin*z, xi = s*Im z + t, and its name."""
@@ -102,16 +94,19 @@ def basis_psi_mn(m, n, z, params):
     mode exponent inside a single exp call, from constants formed once per
     (m, n, nu, alpha).  Where that exponent leaves exp's normal range, H_m's
     binary exponent moves into it first, so a subnormal exp loses no digits;
-    the one exit, core._finite_exp, raises OverflowError naming psi_{m,n}.
-    Levels m > 40 are rejected: beyond that the constants leave the range
-    where doubles are reliable.  A non-integral n raises DomainError.
+    the one exit, core._finite_exp, raises OverflowError naming psi_{m,n} at
+    every level.  Where H_m itself overflows (from m ~ 200 at the bump's edge),
+    hermite_poly raises it.  A non-integral n raises DomainError.
     """
-    if not (type(m) is int and 0 <= m <= MAX_LEVEL):
-        m = _capped(_index(m, "level", 0))
+    m = m if type(m) is int and m >= 0 else _index(m, "level", 0)
     n = n if type(n) is int else _index(n)
     k0, half, lin, s, t, name = _mode_constants(m, n, params.nu, params.alpha)
     z = _as_complex(z)
-    h = hermite_poly(m, s * z.imag + t)  # first: a non-finite Im z raises H_m's overflow on both routes
+    try:
+        h = hermite_poly(m, s * z.imag + t)
+    except OverflowError:
+        _finite(z, name)  # a non-finite point names the mode, as at level 0
+        raise
     if type(z) is complex:
         expo = k0 + _mul(half * z, z) + lin * z
         if not _LOG_MIN <= expo.real <= _LOG_MAX:
@@ -139,7 +134,7 @@ class LandauElement(_Expansion):
     def _parts(self, z):
         levels, (nu, alpha) = {}, self.params
         for (m, n), c in self.coeffs:
-            levels.setdefault(n, {})[_capped(m)] = c
+            levels.setdefault(n, {})[m] = c
 
         def coeff(n, z):  # sum over m of c_{m,n} h_m(xi) at the points, one recurrence up to the top level of n
             xi = math.sqrt(2.0 * nu) * z.imag + math.sqrt(2.0 / nu) * math.pi * (n + alpha)

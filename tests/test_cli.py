@@ -188,6 +188,21 @@ def test_landau_commands(tmp_path):
     assert payload["eigenvalue"] == pytest.approx(2 * 3.14159265)
 
 
+def test_landau_commands_above_level_40(tmp_path):
+    text = run_ok(["landau", "eigres", "--nu", "3.14159", "--alpha", "0.3", "--m", "60", "--n", "0"])
+    assert json.loads(text)["residual"] <= 1e-5
+
+    # a level-40 record raised to level 41 evaluates under L
+    elem = LandauElement(SpaceParams(math.pi, 0.3), {(40, 0): 1.0, (2, 1): 0.5j})
+    in_path, up_path = tmp_path / "elem.json", tmp_path / "up.json"
+    in_path.write_text(json.dumps(elem.to_dict()))
+    run_ok(["landau", "raise", "--in", str(in_path), "--out", str(up_path)])
+    payload = json.loads(run_ok(["landau", "apply", "--in", str(up_path), "--z", "0.2+0.1i"]))
+    z, params = 0.2 + 0.1j, elem.params
+    ref = math.pi * (41 * basis_psi_mn(41, 0, z, params) + 1.5j * basis_psi_mn(3, 1, z, params))
+    assert abs(complex(payload["re"], payload["im"]) - ref) <= 1e-5 * abs(ref)
+
+
 def test_verify_all_passes():
     code, text = run_command(["verify", "all"])
     assert code == 0

@@ -40,8 +40,6 @@ def test_level_validation():
     with pytest.raises(DomainError):
         basis_psi_mn(-1, 0, 0.1, PARAMS)
     with pytest.raises(DomainError):
-        basis_psi_mn(41, 0, 0.1, PARAMS)
-    with pytest.raises(DomainError):
         basis_psi_mn(1.5, 0, 0.1, PARAMS)
     # nan, inf and a fraction raise DomainError naming the level, at every entry that takes one
     elem = LandauElement(PARAMS, {(1, 0): 1.0, (2, 0): 1.0})
@@ -112,6 +110,12 @@ def _mp_psi_mn(m, n, z, params):
         return complex(norm * mpmath.exp(expo) * mpmath.hermite(m, xi))
 
 
+def _near_bump(rng, m, n, params, count):
+    """count points with Im z within 1.3 turning-point widths sqrt((2m+1)/(2 nu)) of psi_{m,n}'s centre."""
+    y0, width = -math.pi * (n + params.alpha) / params.nu, math.sqrt((2 * m + 1) / (2.0 * params.nu))
+    return rng.uniform(0.0, 1.0, count) + 1j * (y0 + rng.uniform(-1.3, 1.3, count) * width)
+
+
 @pytest.mark.parametrize("m, n, nu, alpha, z", [
     (35, 5, 7.627848637386841, -0.4282056115170745, 0.24005898906092626 - 17.265737852714814j),
     (40, 5, 0.392, -0.213, 0.223 + 3.659j),
@@ -124,6 +128,29 @@ def test_subnormal_exponential_keeps_the_digits(m, n, nu, alpha, z):
     value = basis_psi_mn(m, n, z, params)
     assert abs(ref) > 1e-300 and abs(value - ref) <= 1e-12 * abs(ref)
     assert basis_psi_mn(m, n, np.array([z, 0.3 + 0.1j]), params)[0] == value
+
+
+def test_levels_41_to_180_against_mpmath():
+    # every 7th level above 40, 50 points each near the bump: nu log-uniform in [0.5, 30], n in [-5, 5]; the error
+    # is relative to |psi| with a floor of 1e-3 of the mode's size (2 nu/pi)^(1/4) e^(nu (Re z)^2 / 2)
+    rng = np.random.default_rng(41)
+    for m in range(41, 181, 7):
+        for _ in range(50):
+            nu = float(np.exp(rng.uniform(math.log(0.5), math.log(30.0))))
+            params, n = SpaceParams(nu, float(rng.uniform(-0.5, 0.5))), int(rng.integers(-5, 6))
+            z = complex(_near_bump(rng, m, n, params, 1)[0])
+            value, ref = basis_psi_mn(m, n, z, params), _mp_psi_mn(m, n, z, params)
+            size = (2.0 * params.nu / math.pi) ** 0.25 * math.exp(0.5 * params.nu * z.real**2)
+            assert abs(value - ref) <= 1e-10 * max(abs(ref), 1e-3 * size), (m, n, params, z)
+
+
+def test_level_240_overflows_hermite_at_the_edge_of_the_bump():
+    # 1.3 turning-point widths out, H_240(xi ~ 28.5) ~ 1e421: the mode raises and returns nothing, on every route
+    params = SpaceParams(2.0, 0.3)
+    z = 0.4 + 1j * (-math.pi * 1.3 / 2.0 + 1.3 * math.sqrt(481 / 4.0))
+    for x in (z, np.asarray(z), np.array([0.3 + 0.1j, z])):
+        with pytest.raises(OverflowError, match="^Hermite recurrence overflowed at degree 240$"):
+            basis_psi_mn(240, 1, x, params)
 
 
 def test_eigen_residuals():
@@ -296,8 +323,18 @@ def test_eigenmode_gram_subset():
     assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-7
 
 
+@pytest.mark.parametrize("nu", [0.7, math.pi, 20.0])
+def test_eigenmode_gram_through_level_16(nu):
+    # the default 64 x 64 pair-centred strip rule holds criterion 12's 1e-7 through level 18 at every nu; past it the
+    # Gaussian left by u = sqrt(nu) (y - y_shift) is not integrated exactly (1.5e-7 at level 19, 0.29 at level 40)
+    params = SpaceParams(nu, 0.3)
+    fs = [(n, lambda z, m=m, n=n: basis_psi_mn(m, n, z, params)) for m in range(17) for n in (-1, 0, 1)]
+    gram = strip_gram(fs, params.nu, params.alpha)
+    assert np.max(np.abs(gram - np.eye(len(fs)))) <= 1e-7
+
+
 def test_element_sum_matches_per_mode_sum():
-    # nu log-uniform in [0.1, 50], levels up to MAX_LEVEL = 40, Fourier indices with gaps,
+    # nu log-uniform in [0.1, 50], levels up to 40, Fourier indices with gaps,
     # Im z out to where the per-mode terms stop being finite.
     rng = np.random.default_rng(17)
     eps, checked = np.finfo(float).eps, 0
@@ -344,11 +381,32 @@ def test_element_value_depends_on_its_point_only():
         assert whole[i] == elem.evaluate(z[i : i + 1])[0] == elem.evaluate(complex(z[i]))
 
 
-def test_element_above_max_level_raises():
-    elem = LandauElement(PARAMS, {(0, 0): 1.0, (40, 1): 1.0})
-    elem.evaluate(0.3 + 0.1j)
-    with pytest.raises(DomainError):
-        elem.raised().evaluate(0.3 + 0.1j)
+def test_raised_element_above_level_40_evaluates():
+    elem = LandauElement(PARAMS, {(0, 0): 1.0, (40, 1): 1.0}).raised()
+    terms = [basis_psi_mn(1, 0, 0.3 + 0.1j, PARAMS), basis_psi_mn(41, 1, 0.3 + 0.1j, PARAMS)]
+    assert abs(elem.evaluate(0.3 + 0.1j) - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+
+def test_element_at_levels_41_to_180_matches_its_per_mode_sum():
+    # the element's one recurrence in h_m against the modes' closed form, near each key's bump; a point where some
+    # H_m overflows has no per-mode sum.  The scalar route equals the array route to the bit
+    rng = np.random.default_rng(180)
+    checked = 0
+    for _ in range(12):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.5), math.log(30.0)))), float(rng.uniform(-0.5, 0.5)))
+        keys = sorted({(int(m), int(n)) for m, n in zip(rng.integers(41, 181, 5), rng.integers(-5, 6, 5))})
+        elem = LandauElement(params, {k: complex(*rng.standard_normal(2)) for k in keys})
+        z = np.concatenate([_near_bump(rng, m, n, params, 20) for m, n in keys])
+        values = elem.evaluate(z)
+        for zk, value in zip(z, values):
+            assert elem.evaluate(complex(zk)) == value
+            try:
+                terms = [c * basis_psi_mn(m, n, complex(zk), params) for (m, n), c in elem.coeffs]
+            except OverflowError:
+                continue
+            assert abs(value - sum(terms)) <= 1e-12 * math.fsum(map(abs, terms)), (params, zk)
+            checked += 1
+    assert checked > 900
 
 
 def test_few_modes_over_a_wide_span(monkeypatch):

@@ -120,12 +120,12 @@ def test_vectorized_error_propagates_without_pointwise_retry():
 def test_domain_error_propagates_without_pointwise_retry():
     calls = []
 
-    def level_41(w):
+    def fractional_level(w):
         calls.append(np.shape(w))
-        return basis_psi_mn(41, 0, w, PARAMS)
+        return basis_psi_mn(1.5, 0, w, PARAMS)
 
     with pytest.raises(DomainError):
-        landau_apply(level_41, 0.2 + 0.1j, PARAMS)
+        landau_apply(fractional_level, 0.2 + 0.1j, PARAMS)
     assert len(calls) == 1
 
 

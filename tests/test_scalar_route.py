@@ -175,19 +175,27 @@ def _cases(rng):
 
 
 def _level_cases(rng):
-    """The stencils of psi_{m,n} at levels up to MAX_LEVEL = 40, near the mode's bump and out to where its
-    exponential is subnormal, and hermite_poly at degrees 0..70 on real x."""
-    for _ in range(30):
+    """The stencils of psi_{m,n} at levels up to 180, near the mode's bump and out to where its exponential is
+    subnormal or H_m nears the double range, past hermite_poly's table of factors; and hermite_poly at degrees
+    0..70 on real x."""
+    for _ in range(60):
         params = SpaceParams(float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))), float(rng.uniform(-0.5, 0.5)))
-        m, n = int(rng.integers(0, 41)), int(rng.integers(-5, 6))
+        m, n = int(rng.integers(0, 181)), int(rng.integers(-5, 6))
         width = math.sqrt((2 * m + 1) / params.nu)
         y0 = -math.pi * (n + params.alpha) / params.nu
-        z = complex(rng.uniform(0.0, 1.0), y0 + rng.uniform(-2.0, 2.0) * width)
-        far = complex(z.real, y0 + rng.choice((-1.0, 1.0)) * rng.uniform(4.0, 6.0) * width)
+        reach = 0.5 * 10.0 ** (300.0 / max(m, 1)) / math.sqrt(2.0 * params.nu)  # |Im z - y0| at which (2 xi)^m = 1e300
+        z = complex(rng.uniform(0.0, 1.0), y0 + float(np.clip(rng.uniform(-2.0, 2.0) * width, -reach, reach)))
+        far = complex(z.real, y0 + rng.choice((-1.0, 1.0)) * min(rng.uniform(4.0, 6.0) * width, reach))
         psi = lambda x, m=m, n=n, params=params: basis_psi_mn(m, n, x, params)
-        yield "landau_apply to level 40", lambda x, psi=psi, params=params: landau_apply(psi, x, params), z
-        yield "creation_apply to level 40", lambda x, psi=psi, params=params: creation_apply(psi, x, params), z
-        yield "annihilation_apply to level 40", lambda x, psi=psi: annihilation_apply(psi, x), z
+        try:
+            psi(z), psi(far)
+        except OverflowError as error:  # |psi| itself leaves the double range: both routes raise it alike
+            with pytest.raises(OverflowError, match=f"^{re.escape(str(error))}$"):
+                psi(np.array([z, far]))
+            continue
+        yield "landau_apply to level 180", lambda x, psi=psi, params=params: landau_apply(psi, x, params), z
+        yield "creation_apply to level 180", lambda x, psi=psi, params=params: creation_apply(psi, x, params), z
+        yield "annihilation_apply to level 180", lambda x, psi=psi: annihilation_apply(psi, x), z
         yield "basis_psi_mn far from the bump", psi, far
     for m in range(71):
         scale = float(rng.uniform(-1.2, 1.2)) * math.sqrt(2 * m + 1)
@@ -321,8 +329,7 @@ def test_non_finite_point_raises_alike_on_both_routes(name, z):
 
 @pytest.mark.parametrize("z", _NON_FINITE, ids=str)
 def test_landau_mode_above_level_zero_raises_alike_at_a_non_finite_point(z):
-    # above level 0 a non-finite Im z overflows H_m first, so that error names the recurrence; on every route alike
-    expected = "Hermite recurrence overflowed at degree 2" if not math.isfinite(z.imag) else "psi_{2,1} overflowed the"
+    # above level 0 a non-finite Im z overflows H_m first, and the mode names itself there as at level 0
     for x in (z, np.asarray(z), np.array([z])):
-        with pytest.raises(OverflowError, match=f"^{re.escape(expected)}"):
+        with pytest.raises(OverflowError, match=r"^psi_\{2,1\} overflowed the double range$"):
             basis_psi_mn(2, 1, x, _P)
