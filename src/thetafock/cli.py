@@ -252,14 +252,15 @@ _LEAVES = (
 )
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser of the one leaf whose group and name begin argv, or of every leaf if argv names none."""
     parser = _Parser(
         prog="thetafock",
         description="Quasi-periodic theta function spaces: evaluation, transforms, verification.",
     )
     top = parser.add_subparsers(dest="group", required=True)
-    groups = {}
-    for group, name, handler, options, defaults in _LEAVES:
+    groups, named = {}, [leaf for leaf in _LEAVES if leaf[:2] == tuple(argv[:2])]
+    for group, name, handler, options, defaults in named or _LEAVES:
         if group not in groups:
             groups[group] = top.add_parser(group).add_subparsers(dest="command", required=True)
         sub = groups[group].add_parser(name)
@@ -277,9 +278,9 @@ def build_parser():
 
 def run_command(argv):
     """Execute one subcommand; returns (exit code, textual output)."""
-    parser = build_parser()
+    argv = _join_number_values(argv)
     try:
-        args = parser.parse_args(_join_number_values(argv))
+        args = build_parser(argv).parse_args(argv)
         code, payload, rows = args.handler(args)
         return code, _to_csv(rows) if args.format == "csv" else json.dumps(payload, indent=2)
     except UsageError as exc:

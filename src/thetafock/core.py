@@ -181,12 +181,13 @@ def _finite(vals, what):
 
 
 def _finite_exp(scale, expo, what):
-    """scale * exp(expo) through _finite.  An ndarray runs under _quiet, as _finite reports its overflow; a
-    Python number enters no context manager, since the sum oracles call the modes term by term."""
+    """scale * exp(expo) through _finite.  A complex ndarray expo is consumed: the exp and the scaling run in
+    place in it, under _quiet, as _finite reports its overflow.  A Python number enters no context manager,
+    since the sum oracles call the modes term by term."""
     if type(expo) is complex:
         return _finite(scale * _exp(expo), what)
-    with _quiet(expo):
-        return _finite(scale * np.exp(expo), what)
+    with _quiet(expo):  # scale first: numpy may fuse the complex product, so its operand order is kept
+        return _finite(np.multiply(scale, np.exp(expo, out=expo), out=expo), what)
 
 
 def hermite_poly(m, x):

@@ -103,7 +103,7 @@ def basis_psi_mn(m, n, z, params):
     k0, half, lin, s, t, name = _mode_constants(m, n, params.nu, params.alpha)
     z = _as_complex(z)
     try:
-        h = hermite_poly(m, s * z.imag + t)
+        h = hermite_poly(m, s * z.imag + t) if m else 1.0
     except OverflowError:
         _finite(z, name)  # a non-finite point names the mode, as at level 0
         raise
@@ -114,8 +114,11 @@ def basis_psi_mn(m, n, z, params):
             expo += e * _LN2
         return _finite_exp(h, expo, name)
     z = _finite(z, name)  # as in fock.basis_e
-    expo = k0 + _mul(half * z, z) + lin * z
-    if (outside := (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)).any():
+    expo = _mul(half * z, z)
+    expo += k0  # in place, rounded as (k0 + z^2 / 2) + lin z
+    expo += lin * z
+    if expo.size and not _LOG_MIN <= expo.real.min() <= expo.real.max() <= _LOG_MAX:
+        outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
         mantissa, e = np.frexp(h)
         expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
     return _finite_exp(h, expo, name)

@@ -17,9 +17,11 @@ strip norm of psi_n holds until psi_n itself overflows on the nodes, and a
 sum that still leaves the double range raises OverflowError.  The shift
 recenters the rule on the Gaussian bump of the integrand; for a pair of
 Fourier modes n and m of the space with character alpha the bump sits at
-y = -pi*(alpha + (n+m)/2)/nu.  strip_gram builds a whole Gram matrix on
-that rule: pairs with equal n + m share one node grid, on which each mode
-is evaluated once, so N consecutive indices take 2N - 1 grids, not N^2.
+y = -pi*(alpha + (n+m)/2)/nu.  The rule is built once per (nu, scheme) and
+kept read-only, so the sums on one scheme share it.  strip_gram builds a
+whole Gram matrix on that rule: pairs with equal n + m share one node grid,
+on which each mode is evaluated once, so N consecutive indices take 2N - 1
+grids, not N^2.
 
 Line inner product on [0, sqrt(2)] is a plain trapezoid rule, spectrally
 accurate for the sqrt(2)-periodic functions it is used on.
@@ -53,7 +55,8 @@ class StripScheme(namedtuple("StripScheme", "x_points y_order y_shift")):
     def centered(cls, nu, alpha, n_bar):
         """Scheme recentered on the Gaussian bump of mode index n_bar
         (use the midpoint (n+m)/2 for a pair of modes n, m)."""
-        return cls(y_shift=-math.pi * (alpha + n_bar) / _real(nu, "nu", positive=True))
+        nu = _real(nu, "nu", positive=True)
+        return cls(y_shift=-math.pi * (_real(alpha, "alpha") + _real(n_bar, "n_bar")) / nu)
 
     def doubled(self):
         return StripScheme(2 * self.x_points, 2 * self.y_order, self.y_shift)
@@ -100,8 +103,10 @@ def _evaluate_on(f, nodes, label):
     return vals
 
 
+@lru_cache(maxsize=32)
 def _strip_rule(nu, scheme):
-    """Node grid and root weights s of the strip rule, node weight s^2, as the outer product of an x and a y part."""
+    """Node grid and root weights s of the strip rule, node weight s^2, as the outer product of an x and a y part;
+    built once per (nu, scheme), both read-only, so that no callable can change a later call's rule."""
     _real(nu, "nu", positive=True)
     xs = np.linspace(0.0, 1.0, scheme.x_points)
     u, wu = _hermgauss(scheme.y_order)
@@ -109,7 +114,9 @@ def _strip_rule(nu, scheme):
     # exp(-u^2) of the Gauss-Hermite weight cancels analytically against the substitution
     sx = np.sqrt(_trapezoid_weights(scheme.x_points, 1.0)) * np.exp(-0.5 * nu * xs**2)
     sy = np.sqrt(wu / math.sqrt(nu)) * np.exp(0.5 * (u**2 - nu * ys**2))
-    return xs[:, None] + 1j * ys[None, :], sx[:, None] * sy[None, :]
+    grid, root = xs[:, None] + 1j * ys[None, :], sx[:, None] * sy[None, :]
+    grid.flags.writeable = root.flags.writeable = False
+    return grid, root
 
 
 def strip_inner_product(f, g, nu, scheme=StripScheme()):
@@ -132,7 +139,7 @@ def strip_gram(modes, nu, alpha):
     Fourier index that places the Gaussian bump of f.  Each entry equals, to
     the last bit, strip_inner_product(f_i, f_j, nu, scheme) with the scheme
     StripScheme.centered(nu, alpha, (n_i + n_j)/2) of the pair."""
-    ns = [n for n, _ in modes]
+    ns = [_index(n) for n, _ in modes]
     gram = np.zeros((len(modes), len(modes)), dtype=complex)
     for total in sorted({a + b for a in ns for b in ns}):
         grid, root = _strip_rule(nu, StripScheme.centered(nu, alpha, total / 2.0))

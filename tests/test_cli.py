@@ -420,8 +420,8 @@ def test_fock_gram_negative_mlevels_is_usage_error():
         assert code == 64 and "--mlevels" in text, text
 
 
-def _parser_leaves():
-    """{(group, leaf): set of --options other than --format and --help} of build_parser's parser."""
+def _leaf_parsers(argv=()):
+    """{(group, leaf): leaf parser} of build_parser(argv)'s parser."""
     import argparse
 
     from thetafock.cli import build_parser
@@ -429,11 +429,23 @@ def _parser_leaves():
     def choices(parser):
         return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
-    def options(leaf):
-        return {o for a in leaf._actions for o in a.option_strings if o.startswith("--")} - {"--format", "--help"}
-
-    return {(group, name): options(leaf) for group, sub in choices(build_parser()).items()
+    return {(group, name): leaf for group, sub in choices(build_parser(argv)).items()
             for name, leaf in choices(sub).items()}
+
+
+def _parser_leaves():
+    """{(group, leaf): set of --options other than --format and --help} of build_parser's parser."""
+    return {key: {o for a in leaf._actions for o in a.option_strings if o.startswith("--")} - {"--format", "--help"}
+            for key, leaf in _leaf_parsers().items()}
+
+
+def test_a_leaf_named_in_argv_builds_that_leaf_alone():
+    every = _leaf_parsers()
+    for key, leaf in every.items():
+        alone = _leaf_parsers([*key, "--help"])
+        assert list(alone) == [key] and alone[key].format_help() == leaf.format_help()
+    for argv in ([], ["--help"], ["fock"], ["fock", "ps"], ["psi", "fock"], ["--format", "csv", "fock", "psi"]):
+        assert list(_leaf_parsers(argv)) == list(every)
 
 
 def test_readme_synopsis_lists_every_leaf_and_option():

@@ -20,7 +20,7 @@ from thetafock.bargmann import LineElement
 from thetafock.core import DomainError, TruncationBudget, character, hermite_poly
 from thetafock.fock import FockElement, MembershipResult, SpaceParams, quasiperiod_factor
 from thetafock.landau import LandauElement
-from thetafock.quadrature import LineScheme, StripScheme
+from thetafock.quadrature import LineScheme, StripScheme, strip_gram
 from thetafock.theta import ThetaArgs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +188,9 @@ def test_integral_counts_are_stored_as_int():
     (lambda: LineScheme(256.5), "q_points must be an integer, got 256.5"),
     (lambda: StripScheme.centered(float("nan"), 0.3, 0), "nu must be positive and finite, got nan"),
     (lambda: StripScheme.centered(float("inf"), 0.3, 0), "nu must be positive and finite, got inf"),
+    (lambda: StripScheme.centered(1.0, float("nan"), 0), "alpha must be finite, got nan"),
+    (lambda: StripScheme.centered(1.0, 0.3, float("-inf")), "n_bar must be finite, got -inf"),
+    (lambda: strip_gram([(0, None), (0.5, None)], 1.0, 0.3), "mode index must be an integer, got 0.5"),
     # nan and inf in every count, degree, argument, step and element key raise naming it, not the error of int()
     *[(lambda build=build, v=v: build(v), f"{what} must be an integer, got {v}") for build, what, values in [
         (lambda v: StripScheme(v), "x_points", NAN_INF), (lambda v: StripScheme(y_order=v), "y_order", NAN_INF),

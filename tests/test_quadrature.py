@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from thetafock.core import EvaluationError, DomainError
-from thetafock.fock import SpaceParams, basis_e, basis_psi
+from thetafock.fock import FockElement, SpaceParams, basis_e, basis_psi, theta_member
 from thetafock.quadrature import (
     SQRT2,
     LineScheme,
     StripScheme,
+    _strip_rule,
     line_inner_product,
     strip_gram,
     strip_inner_product,
 )
 from thetafock.bargmann import phi_basis
-from thetafock.landau import basis_psi_mn, landau_apply
+from thetafock.landau import LandauElement, basis_psi_mn, landau_apply
+from thetafock.theta import ThetaArgs
 
 PARAMS = SpaceParams(math.pi, 0.3)
 
@@ -136,12 +138,66 @@ def test_nonfinite_node_reported():
 
 
 def test_strip_rejects_bad_nu():
-    for nu in (0.0, math.nan, math.inf):
+    # a rule that raised is not cached: the second call raises alike
+    for nu in (0.0, math.nan, math.inf) * 2:
         message = f"^nu must be positive and finite, got {nu}$"
         with pytest.raises(DomainError, match=message):
             strip_inner_product(_psi(0), _psi(0), nu, StripScheme())
         with pytest.raises(DomainError, match=message):
             strip_gram([(0, _psi(0))], nu, PARAMS.alpha)
+        with pytest.raises(DomainError, match=message):
+            _strip_rule(nu, StripScheme())
+
+
+def test_strip_rule_is_built_once_and_read_only():
+    scheme = pair_scheme(PARAMS, 1, 2)
+    grid, root = _strip_rule(PARAMS.nu, scheme)
+    again = _strip_rule(PARAMS.nu, scheme)
+    assert again[0] is grid and again[1] is root
+    assert not grid.flags.writeable and not root.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        root *= 2.0
+    fresh = _strip_rule.__wrapped__(PARAMS.nu, scheme)
+    assert np.array_equal(fresh[0], grid) and np.array_equal(fresh[1], root)
+
+
+def test_a_callable_writing_into_its_nodes_cannot_change_a_later_call():
+    scheme = pair_scheme(PARAMS, 0, 0)
+    clean = strip_inner_product(_psi(0), _psi(0), PARAMS.nu, scheme)
+    writes = []
+
+    def vandal(z):  # the read-only grid refuses the write; the pointwise fallback then hands it numbers
+        writes.append(np.ndim(z))
+        z *= 2.0
+        return basis_psi(0, z, PARAMS)
+
+    doubled = strip_inner_product(vandal, vandal, PARAMS.nu, scheme)
+    assert writes[0] == 2 and set(writes[1:]) == {0} and doubled != clean
+    assert strip_inner_product(_psi(0), _psi(0), PARAMS.nu, scheme) == clean
+    grid, _ = _strip_rule(PARAMS.nu, scheme)
+    assert np.array_equal(grid, _strip_rule.__wrapped__(PARAMS.nu, scheme)[0])
+
+
+def test_library_callables_take_the_cached_rule_as_an_array(monkeypatch):
+    # every mode, element and theta member evaluates the read-only node grid whole, never point by point
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("np.vectorize fallback reached")
+
+    monkeypatch.setattr(np, "vectorize", no_fallback)
+    params = SpaceParams(2.0, 0.3)
+    callables = {
+        "basis_e": lambda z: basis_e(1, z, params),
+        "basis_psi": lambda z: basis_psi(-1, z, params),
+        "basis_psi_mn level 0": lambda z: basis_psi_mn(0, 1, z, params),
+        "basis_psi_mn level 3": lambda z: basis_psi_mn(3, -1, z, params),
+        "FockElement": FockElement.from_psi_coeffs(params, {-1: 0.5, 0: 1.0, 2: 0.3j}).evaluate,
+        "LandauElement": LandauElement(params, {(0, 1): 1.0, (2, -1): 0.5j}).evaluate,
+        "theta member": theta_member(ThetaArgs(0.3, 0.1, 0.2 + 1.7j), params),
+    }
+    scheme = StripScheme.centered(params.nu, params.alpha, 0)
+    for name, f in callables.items():
+        first = strip_inner_product(f, f, params.nu, scheme)
+        assert strip_inner_product(f, f, params.nu, scheme) == first, name
 
 
 def test_strip_gram_matches_pairwise_inner_products():
@@ -163,7 +219,7 @@ def test_strip_gram_matches_pairwise_inner_products():
     for i, (n_i, f_i) in enumerate(fs):
         for j, (n_j, f_j) in enumerate(fs):
             ip = strip_inner_product(f_i, f_j, PARAMS.nu, pair_scheme(PARAMS, n_i, n_j))
-            assert abs(gram[i, j] - ip) <= 1e-15
+            assert gram[i, j] == ip
 
 
 def test_norm_evaluates_f_once():

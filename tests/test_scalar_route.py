@@ -222,6 +222,56 @@ def test_scalar_equals_array_to_the_last_bit():
     assert len(seen) == 18 + 5 + 2
 
 
+def _outcome(f, x):
+    """f(x) as (value, None), or (None, text) of the OverflowError it raises."""
+    try:
+        return f(x), None
+    except OverflowError as error:
+        return None, str(error)
+
+
+def test_mode_arrays_equal_their_points_to_the_bit():
+    # e_n, psi_n and psi_{m,n} (m = 0 and m > 0) on arrays of up to 24 points, 1-d or 2-d, near the bump and out
+    # to where the exponent leaves exp's normal range, some holding a nan or infinite point: each array equals its
+    # points' values to the bit, or raises the OverflowError the points raise
+    rng = np.random.default_rng(29)
+    seen = set()
+    for k in range(240):
+        params = SpaceParams(float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))), float(rng.uniform(-0.5, 0.5)))
+        m, n = (0, int(rng.integers(1, 41)))[k % 2], int(rng.integers(-5, 6))
+        width = math.sqrt((2 * m + 1) / params.nu)
+        reach = rng.choice((1.0, 4.0, 12.0, 40.0))
+        y = -math.pi * (n + params.alpha) / params.nu + rng.uniform(-reach, reach, 24) * width
+        z = rng.uniform(-1.0, 2.0, 24) + 1j * y
+        if k % 5 == 0:
+            z[rng.integers(24)] = _NON_FINITE[k // 5 % 4]
+        modes = {"basis_e": lambda x: basis_e(n, x, params), "basis_psi": lambda x: basis_psi(n, x, params),
+                 f"basis_psi_mn level {'> 0' if m else 0}": lambda x: basis_psi_mn(m, n, x, params)}
+        for name, f in modes.items():
+            points = [_outcome(f, complex(x)) for x in z]
+            value, error = _outcome(f, z.reshape(4, 6) if k % 3 else z)
+            texts = {text for _, text in points if text is not None}
+            if texts:
+                assert value is None and error in texts, (name, k, error, texts)
+                seen.add((name, "raises"))
+                continue
+            assert error is None and value.shape == (z.shape if k % 3 == 0 else (4, 6)), (name, k, error)
+            assert value.ravel().tobytes() == np.array([v for v, _ in points]).tobytes(), (name, k)
+            tiny = [abs(v) < sys.float_info.min for v, _ in points]
+            seen.update((name, "subnormal or zero" if t else "normal") for t in tiny)
+            assert f(z[:0]).shape == (0,)
+    assert seen == {(name, kind) for name in ("basis_e", "basis_psi", "basis_psi_mn level 0", "basis_psi_mn level > 0")
+                    for kind in ("raises", "subnormal or zero", "normal")}
+    # above exp's range too: psi_{1,0} at nu = 1 where the exponent is ~710 and H_1 = 2^-7 brings psi back into
+    # range.  The shifted exponent, ~706, stays below log(DBL_MAX / 4) ~ 708.4, above which cmath.exp rounds as
+    # exp(x - 1) * e and np.exp does not, so that there the two routes part by an ulp.
+    y = 2.0**-8 / math.sqrt(2.0)
+    z = np.array([complex(math.sqrt(2.0 * 710.5 + y * y), y), 0.3 + 0.2j])
+    values = basis_psi_mn(1, 0, z, SpaceParams(1.0, 0.0))
+    assert 1e305 < abs(values[0]) < 1e307 and values.tobytes() == np.array(
+        [basis_psi_mn(1, 0, complex(x), SpaceParams(1.0, 0.0)) for x in z]).tobytes()
+
+
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z
 _KINDS = {
     "np.complex128": lambda z: np.complex128(z),
