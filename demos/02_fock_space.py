@@ -21,7 +21,6 @@ from thetafock import (
     basis_e,
     basis_psi,
     e_norm,
-    membership_log_partial_sums,
     quasiperiod_residual,
     strip_gram,
     strip_inner_product,
@@ -89,13 +88,6 @@ def main():
         norm = f"norm={result.norm:.9f}" if result.in_space else "norm=inf"
         print(f"tau={tau!s:>9}  gap Im(tau)-pi/nu={tau.imag - np.pi/params.nu:+.4f}"
               f"  -> {label} {norm}")
-
-    # For the divergent case the failure is certifiable: log partial sums of
-    # the norm series keep climbing without bound.
-    targs = ThetaArgs(params.alpha, 0.1, 0.5j)
-    logs = membership_log_partial_sums(targs, params)
-    print(f"divergent case, log partial sums at N=10,20,40: "
-          f"{logs[0]:.1f} < {logs[1]:.1f} < {logs[2]:.1f}  (unbounded growth)")
 
     # A member function really does satisfy the functional equation.
     f = theta_member(ThetaArgs(params.alpha, 0.1, 2j), params)

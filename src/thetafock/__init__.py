@@ -24,8 +24,8 @@ _EXPORTS = {
     "quadrature": ("LineScheme", "StripScheme", "line_inner_product", "strip_gram", "strip_inner_product"),
     "theta": ("ThetaArgs", "jacobi_theta3", "riemann_theta"),
     "fock": ("FockElement", "MembershipResult", "SpaceParams", "basis_e", "basis_psi", "e_norm",
-             "membership_log_partial_sums", "pointwise_bound", "quasiperiod_factor", "quasiperiod_residual",
-             "reproducing_kernel", "theta_member", "theta_membership"),
+             "pointwise_bound", "quasiperiod_factor", "quasiperiod_residual", "reproducing_kernel", "theta_member",
+             "theta_membership"),
     "bargmann": ("LineElement", "bargmann_inverse", "bargmann_kernel_A", "bargmann_pointwise",
                  "bargmann_transform_coeffs", "generating_kernel_G", "generating_kernel_sum", "phi_basis"),
     "landau": ("LandauElement", "annihilation_apply", "basis_psi_mn", "creation_apply", "eigen_residual",

@@ -52,7 +52,8 @@ def _join_number_values(argv):
 
 
 def parse_complex(text):
-    """Parse a command-line complex literal of the form a+bi; nan parts are rejected."""
+    """Parse a command-line complex literal of the form a+bi; a nan part, or one beyond the double range, is
+    rejected."""
     s = str(text).strip().replace(" ", "").replace("I", "i")
     try:
         value = complex(s.replace("i", "j"))
@@ -60,6 +61,8 @@ def parse_complex(text):
         raise UsageError(f"cannot parse complex literal {text!r}; expected the form a+bi") from None
     if cmath.isnan(value):
         raise UsageError(f"complex literal {text!r} has a nan part")
+    if cmath.isinf(value):
+        raise UsageError(f"complex literal {text!r} has a part beyond the double range")
     return value
 
 

@@ -12,9 +12,11 @@ route, plain complex/cmath/math; any other ndarray the array route; one formula
 serves both.  _as_complex picks the route once per entry point: complex, float
 and int by exact type (~0.04 us), other types by the numbers ABCs (~0.8 us each
 through ABCMeta's isinstance), and an array by np.ndim.  Only exp and the
-reductions dispatch; _mul rounds a product as Python's complex type on both
-routes (numpy may fuse its multiply-add), _imul in place, and a series adds in
-one order on both, so a scalar value equals its array counterpart to the bit.
+reductions dispatch; _exp rounds a number as np.exp does, _mul rounds a product
+as Python's complex type on both routes (numpy may fuse its multiply-add), _imul
+in place, and a series adds in one order on both, so a scalar value equals its
+array counterpart to the bit, with -0.0 and 0.0 counted as equal: numpy's
+complex product can give a zero either sign, by its position in the array.
 
 Overflow: members grow like e^{nu |z|^2 / 2}, so the modes, the lattice factor
 and the strip sums sit near the edge of the double range.  The rule for them
@@ -118,6 +120,8 @@ _TINY = sys.float_info.min
 _COMPLEXES = (complex, float, int)
 _QUIET = contextlib.nullcontext()
 _TWO_K = tuple(map(float, range(0, 128, 2)))  # 2.0*k for k < 64, the factors of hermite_poly's recurrence
+_EXP_EDGE = math.log(sys.float_info.max / 4.0)  # ~708.4, cmath's log(DBL_MAX/4)
+_EXP_709 = math.exp(709.0)
 
 
 def _is_number(x):
@@ -138,12 +142,20 @@ def _quiet(x):
 
 
 def _exp(x):
-    """cmath.exp of a Python complex (np.exp to the last bit; non-finite where
-    it overflows, for _finite to report), np.exp of anything else."""
+    """exp of a Python complex, as np.exp rounds it (non-finite where it overflows, for _finite to report);
+    np.exp of anything else.  Up to _EXP_EDGE that is cmath.exp.  Above it cmath.exp forms exp(x - 1) * e, so
+    a number takes the steps of glibc's cexp, which np.exp calls: exp(x) (cos y, sin y), with cos y and sin y
+    scaled by exp(709) first where x > 709."""
     if not isinstance(x, complex):
         return np.exp(x)
     try:
-        return cmath.exp(x)
+        if not x.real > _EXP_EDGE:  # a nan real part too
+            return cmath.exp(x)
+        t, c, s = x.real, math.cos(x.imag), math.sin(x.imag)
+        if t > 709.0:
+            t, c, s = t - 709.0, c * _EXP_709, s * _EXP_709
+        e = math.exp(t)
+        return complex(e * c, e * s)
     except (OverflowError, ValueError):
         return complex(math.inf, math.nan)
 

@@ -357,27 +357,6 @@ def theta_membership(targs, params, budget=DEFAULT_BUDGET):
     return MembershipResult(True, math.sqrt(total.real))
 
 
-PARTIAL_SUM_WIDTHS = (10, 20, 40)
-
-
-def membership_log_partial_sums(targs, params):
-    """log of the symmetric partial sums of the membership norm series, of half-widths PARTIAL_SUM_WIDTHS.
-
-    Computed in log space so divergent cases (Im tau <= pi/nu) can still be
-    certified: for those the sequence increases without bound.
-    """
-    _check_character(targs, params)
-    gap = complex(targs.tau).imag - math.pi / params.nu
-    center = round(-targs.alpha)
-    out = []
-    for nmax in PARTIAL_SUM_WIDTHS:
-        idx = np.arange(center - nmax, center + nmax + 1)
-        logs = -2.0 * math.pi * (idx + targs.alpha) ** 2 * gap
-        top = float(np.max(logs))
-        out.append(top + math.log(float(np.sum(np.exp(logs - top)))))
-    return out
-
-
 def _check_character(targs, params):
     diff = targs.alpha - params.alpha
     if abs(diff - round(diff)) > 1e-12:

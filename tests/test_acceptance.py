@@ -3,7 +3,7 @@
 verify.CRITERIA is every criterion_* function of verify, in definition order,
 so a criterion defined there runs in `verify all` and is gated here.
 test_criterion runs each entry and prints one pass/fail line per case
-(visible with pytest -s or on failure); the criteria and the 20 case names
+(visible with pytest -s or on failure); the criteria and the 19 case names
 are pinned in order, so one that goes missing or moves fails a test.
 """
 
@@ -35,9 +35,9 @@ CRITERIA = [
 CASES = [
     "01-orthonormal-basis", "02-mode-norm-closed-form", "03-parseval-norm", "04-kernel-two-path",
     "05-kernel-reproduces", "06-growth-bound", "07-membership-decisions", "07-membership-norm",
-    "07-membership-divergence", "07-functional-equation", "08-transform-transport", "09-kernel-equals-generating",
-    "10-landau-eigenvalues", "10-landau-null-space", "11-ladder-coefficients", "11-ladder-finite-difference",
-    "12-eigenmode-gram", "13-theta-integral-identity", "14-series-tail-soundness", "14-quadrature-doubling",
+    "07-functional-equation", "08-transform-transport", "09-kernel-equals-generating", "10-landau-eigenvalues",
+    "10-landau-null-space", "11-ladder-coefficients", "11-ladder-finite-difference", "12-eigenmode-gram",
+    "13-theta-integral-identity", "14-series-tail-soundness", "14-quadrature-doubling",
 ]
 
 

@@ -233,7 +233,7 @@ def test_verify_csv_format():
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "name,expected,actual,tolerance,pass"
-    assert len(lines) == 21  # header + 20 cases
+    assert len(lines) == 20  # header + 19 cases
     assert "wall_time" not in text
 
 
@@ -280,6 +280,14 @@ def test_non_finite_numbers_are_usage_errors(tmp_path):
     for z in ("nan", "1+nani", "nan-2i"):
         code, text = run_command(theta + ["--z", z])
         assert code == 64, text
+    overflowing = (
+        ("1e400", theta + ["--z=1e400"]),
+        ("1e400i", ["fock", "kernel", "--nu", "2", "--alpha", "0.1", "--z", "0.2", "--w=1e400i"]),
+        ("1e400i", ["theta", "eval", "--alpha", "0", "--beta", "0", "--tau=1e400i", "--z", "0.2"]),
+    )
+    for literal, argv in overflowing:
+        code, text = run_command(argv)
+        assert (code, text) == (64, f"usage error: complex literal {literal!r} has a part beyond the double range")
     bad_reals = (
         ("--nu", ["fock", "psi", "--nu", "{}", "--alpha", "0.3", "--n", "1", "--z", "0.2"]),
         ("--nu", ["bargmann", "forward", "--in", str(elem), "--nu", "{}"]),

@@ -17,7 +17,6 @@ from thetafock.fock import (
     basis_e,
     basis_psi,
     e_norm,
-    membership_log_partial_sums,
     pointwise_bound,
     quasiperiod_factor,
     quasiperiod_residual,
@@ -328,13 +327,17 @@ def test_membership_norm_value_and_quadrature():
     assert quad == pytest.approx(result.norm, rel=1e-6)
 
 
-def test_membership_divergence_certificate():
-    for tau in (1.0j, 0.5j):
-        logs = membership_log_partial_sums(ThetaArgs(PARAMS.alpha, 0.1, tau), PARAMS)
-        assert all(b > a for a, b in zip(logs, logs[1:]))
-    # convergent case: partial sums stabilize instead of growing
-    logs = membership_log_partial_sums(ThetaArgs(PARAMS.alpha, 0.1, 2j), PARAMS)
-    assert abs(logs[-1] - logs[-2]) <= 1e-12
+@pytest.mark.parametrize("gap", (1e-4, 1e-3, 1e-2))
+@pytest.mark.parametrize("params", (PARAMS, SpaceParams(2.0, -0.25)), ids=("pi", "2"))
+def test_membership_norm_next_to_the_boundary(gap, params):
+    # ||f||^2 = sqrt(pi/(2 nu)) sum exp(-2 pi (n+alpha)^2 gap); at gap 1e-4 its terms fall below 1e-45 past |n| ~ 410
+    tau = 1j * (math.pi / params.nu + gap)
+    result = theta_membership(ThetaArgs(params.alpha, 0.1, tau), params)
+    with mp.workdps(40):
+        g, a = mp.mpf(tau.imag - math.pi / params.nu), mp.mpf(params.alpha)  # the gap the library decides on
+        series = mp.fsum(mp.exp(-2 * mp.pi * (n + a) ** 2 * g) for n in range(-1500, 1501))
+        norm = mp.sqrt(mp.sqrt(mp.pi / (2 * mp.mpf(params.nu))) * series)
+    assert result.in_space and result.norm == pytest.approx(float(norm), rel=1e-12)
 
 
 def test_membership_character_mismatch():

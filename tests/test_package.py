@@ -10,6 +10,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -83,7 +84,7 @@ def test_cli_handlers_import_nothing():
 def test_names_resolve_to_the_defining_module():
     for sub in SUBMODULES:
         assert getattr(thetafock, sub) is importlib.import_module(f"thetafock.{sub}")
-    assert len(thetafock.__all__) == 46
+    assert len(thetafock.__all__) == 45
     for name in thetafock.__all__:
         value = getattr(thetafock, name)
         assert value.__module__ in {f"thetafock.{sub}" for sub in SUBMODULES}, name
@@ -98,6 +99,16 @@ def test_every_export_has_a_caller_in_the_library():
                 if isinstance(node, (ast.Name, ast.Attribute)):
                     referenced.add(node.id if isinstance(node, ast.Name) else node.attr)
     assert set(thetafock.__all__) - referenced == set()
+
+
+def test_readme_names_exports_and_counts_the_verify_cases():
+    # a deleted or renamed function, or a verify case added or dropped, cannot linger in the README
+    readme = (SRC.parent / "README.md").read_text()
+    table = readme.split("| Capability | Key functions |\n", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    names = {name for row in table for name in re.findall(r"`([A-Za-z_]\w*)`", row.rsplit("|", 2)[1])}
+    assert names and names <= set(thetafock.__all__), names - set(thetafock.__all__)
+    counts = re.findall(r"\b(\d+)[ -](?:named )?checks?\b", readme)
+    assert counts and set(map(int, counts)) == {len(thetafock.run_acceptance().cases)}, counts
 
 
 def test_star_import_and_dir():

@@ -3,10 +3,11 @@ last bit of the array route.
 
 A Python number takes complex/cmath/math arithmetic; an ndarray takes numpy.
 Both run one copy of each formula, so f(z) must equal f(np.array([z]))[0]
-exactly, and the CLI leaves that evaluate at one point must never execute a
-numpy module.  Those leaves also load no module they do not run: not
-dataclasses, fractions, csv or thetafock.verify; and no module of the
-package loads dataclasses at all.
+exactly, with -0.0 and 0.0 counted as equal (numpy's complex product can give
+a zero either sign, by its position in the array), and the CLI leaves that
+evaluate at one point must never execute a numpy module.  Those leaves also
+load no module they do not run: not dataclasses, fractions, csv or
+thetafock.verify; and no module of the package loads dataclasses at all.
 """
 
 import itertools
@@ -39,7 +40,14 @@ from thetafock.fock import (
     reproducing_kernel,
     theta_member,
 )
-from thetafock.landau import LandauElement, annihilation_apply, basis_psi_mn, creation_apply, landau_apply
+from thetafock.landau import (
+    LandauElement,
+    _mode_constants,
+    annihilation_apply,
+    basis_psi_mn,
+    creation_apply,
+    landau_apply,
+)
 from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -263,13 +271,38 @@ def test_mode_arrays_equal_their_points_to_the_bit():
     assert seen == {(name, kind) for name in ("basis_e", "basis_psi", "basis_psi_mn level 0", "basis_psi_mn level > 0")
                     for kind in ("raises", "subnormal or zero", "normal")}
     # above exp's range too: psi_{1,0} at nu = 1 where the exponent is ~710 and H_1 = 2^-7 brings psi back into
-    # range.  The shifted exponent, ~706, stays below log(DBL_MAX / 4) ~ 708.4, above which cmath.exp rounds as
-    # exp(x - 1) * e and np.exp does not, so that there the two routes part by an ulp.
+    # range, through a shifted exponent of ~706
     y = 2.0**-8 / math.sqrt(2.0)
     z = np.array([complex(math.sqrt(2.0 * 710.5 + y * y), y), 0.3 + 0.2j])
     values = basis_psi_mn(1, 0, z, SpaceParams(1.0, 0.0))
     assert 1e305 < abs(values[0]) < 1e307 and values.tobytes() == np.array(
         [basis_psi_mn(1, 0, complex(x), SpaceParams(1.0, 0.0)) for x in z]).tobytes()
+
+
+def test_modes_equal_their_arrays_to_the_bit_at_the_top_of_exp():
+    # exponents with real part in [700, 709.78]: above log(DBL_MAX / 4) ~ 708.4 cmath.exp rounds as exp(x - 1) * e,
+    # np.exp as exp(x) (cos y, sin y) with an exp(709) step above 709, and a number's exp must take np.exp's steps
+    rng = np.random.default_rng(30)
+    params = SpaceParams(1.0, 0.0)
+    k0 = {m: _mode_constants(m, 0, params.nu, params.alpha)[0] for m in (0, 3)}  # psi_{m,0}'s exponent at z = 0
+
+    def point(top, y, at_0=0.0):  # the z of imaginary part y where Re (at_0 + z^2 / 2) = top
+        return complex(math.sqrt(2.0 * (top - at_0) + y * y), y)
+
+    modes = {  # each with the point where the real part of its exponent is top; |H_3| < 1 at |Im z| <= 0.05
+        "basis_e": (lambda x: basis_e(0, x, params), point),
+        "basis_psi": (lambda x: basis_psi(0, x, params), point),
+        "basis_psi_mn level 0": (lambda x: basis_psi_mn(0, 0, x, params), lambda top, y: point(top, y, k0[0])),
+        "basis_psi_mn level 3": (lambda x: basis_psi_mn(3, 0, x, params), lambda top, y: point(top, y, k0[3])),
+        "phi_basis": (lambda x: phi_basis(1, x, 0.0),
+                      lambda top, y: complex(20.0 * y, -top / (math.sqrt(2.0) * math.pi))),
+    }
+    for _ in range(300):
+        top, y = rng.uniform(700.0, 709.78), rng.uniform(-0.05, 0.05)
+        for name, (f, at) in modes.items():
+            x = at(top, y)
+            scalar, array = f(x), f(np.array([x]))
+            assert scalar == array[0], (name, x, scalar, array[0])
 
 
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z
