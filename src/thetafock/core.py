@@ -18,12 +18,12 @@ in place, and a series adds in one order on both, so a scalar value equals its
 array counterpart to the bit, with -0.0 and 0.0 counted as equal: numpy's
 complex product can give a zero either sign, by its position in the array.
 
-Overflow: members grow like e^{nu |z|^2 / 2}, so the modes, the lattice factor
-and the strip sums sit near the edge of the double range.  The rule for them
-lives here: a closed-form exponential leaves through _finite_exp, a sum through
-_finite, and either raises OverflowError naming its quantity rather than return
-inf or nan.  Array work that may overflow runs under _quiet, the one place that
-sets numpy's error state; a Python number enters no context manager.
+Overflow: members grow like e^{nu |z|^2 / 2}, so values sit near the edge of
+the double range.  The rule lives here: a value kept as scale * e^expo leaves
+through _finite_exp, which first moves scale's binary exponent (frexp's) into
+expo where Re expo is outside exp's normal range, and a sum through _finite;
+either raises OverflowError naming its quantity rather than return inf or nan.
+Array work runs under _quiet, the one place that sets numpy's error state.
 
 Arguments: every index, level, lattice step and count goes through _index and
 every real parameter through _real, which raise DomainError naming the argument
@@ -122,6 +122,7 @@ _QUIET = contextlib.nullcontext()
 _TWO_K = tuple(map(float, range(0, 128, 2)))  # 2.0*k for k < 64, the factors of hermite_poly's recurrence
 _EXP_EDGE = math.log(sys.float_info.max / 4.0)  # ~708.4, cmath's log(DBL_MAX/4)
 _EXP_709 = math.exp(709.0)
+_LOG_MIN, _LOG_MAX, _LN2 = math.log(_TINY), math.log(sys.float_info.max), math.log(2.0)  # exp's normal range
 
 
 def _is_number(x):
@@ -193,13 +194,25 @@ def _finite(vals, what):
 
 
 def _finite_exp(scale, expo, what):
-    """scale * exp(expo) through _finite.  A complex ndarray expo is consumed: the exp and the scaling run in
-    place in it, under _quiet, as _finite reports its overflow.  A Python number enters no context manager,
-    since the sum oracles call the modes term by term."""
+    """scale * exp(expo) through _finite, by the module's overflow rule; a complex scale's product rounds as _mul.  A
+    complex ndarray expo is consumed: the exp and the scaling run in place in it, under _quiet.  A Python number
+    enters no context manager, since the sum oracles call the modes term by term."""
     if type(expo) is complex:
-        return _finite(scale * _exp(expo), what)
-    with _quiet(expo):  # scale first: numpy may fuse the complex product, so its operand order is kept
-        return _finite(np.multiply(scale, np.exp(expo, out=expo), out=expo), what)
+        if not _LOG_MIN <= expo.real <= _LOG_MAX:  # a nan too
+            e = math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
+            expo, m = complex(expo.real + e * _LN2, expo.imag), math.ldexp(scale.real, -e)
+            scale = complex(m, math.ldexp(scale.imag, -e)) if isinstance(scale, complex) else m
+        return _finite(_mul(scale, _exp(expo)) if isinstance(scale, complex) else scale * _exp(expo), what)
+    with _quiet(expo):
+        r, cplx = expo.real.copy(), np.asarray(scale).dtype.kind == "c"  # r contiguous: min and max cost half
+        if r.size and not _LOG_MIN <= r.min() <= r.max() <= _LOG_MAX:
+            e = np.where((r < _LOG_MIN) | (r > _LOG_MAX), np.frexp(np.maximum(abs(scale.real), abs(scale.imag)))[1], 0)
+            expo.real += e * _LN2
+            scale = np.ldexp(scale.real, -e) + 1j * np.ldexp(scale.imag, -e) if cplx else np.ldexp(scale, -e)
+        np.exp(expo, out=expo)
+        if cplx:
+            return _finite(_imul(expo, scale, (np.empty(expo.shape), np.empty(expo.shape))), what)
+        return _finite(np.multiply(scale, expo, out=expo), what)  # scale first: numpy may fuse a complex product
 
 
 def hermite_poly(m, x):

@@ -43,8 +43,8 @@ one exp per point for all its modes.
 import math
 from collections import namedtuple
 
-from .core import DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet, _real
-from .core import _reduce, bilateral_sum, character, np
+from .core import _TINY, DEFAULT_BUDGET, DomainError, _as_complex, _exp, _finite, _finite_exp, _index, _mul, _quiet
+from .core import _real, _reduce, bilateral_sum, character, np
 from .theta import _theta_value
 
 
@@ -213,7 +213,7 @@ def _psi_sum(params, keys, z, coeff, scale):
             step = cut(f, a, b) if d == 1 else _exp(d * (cut(log_w, a, b) - shift) - a2 * d * (d - 1))
             t, f, fresh = put(t, a, b, _mul(cut(t, a, b), step)), put(f, a, b, step * q) if d == 1 else f, d > 1
     if (over != 0.0) if scalar else np.any(over):
-        total = _mul(total, _exp(over + 0j))  # the clamped part of e^scale |psi| on the anchor
+        total = _finite_exp(total, over + 0j, "element value")  # the clamped part of e^scale |psi| on the anchor
     if scalar:
         return total
     out = np.empty_like(total)
@@ -255,13 +255,13 @@ class FockElement(_Expansion):
         elem = cls.__new__(cls)
         _Expansion.__init__(elem, params, coeffs)
         object.__setattr__(elem, "_psi", tuple((n, c, 0.0) for n, c in elem.coeffs))
-        object.__setattr__(elem, "coeffs", tuple((n, _finite(u * _exp(complex(log)), f"e_n coefficient a_{n}"))
+        object.__setattr__(elem, "coeffs", tuple((n, _finite_exp(u, complex(log), f"e_n coefficient a_{n}"))
                                                  for n, u, log in elem._scaled(elem.coeffs, -1)))
         return elem
 
     def psi_coeffs(self):
         """Coefficients against psi_n, c_n = w e^s from the view."""
-        return {n: _finite(w * _exp(complex(s)), f"psi coefficient c_{n}") for n, w, s in self._psi}
+        return {n: _finite_exp(w, complex(s), f"psi coefficient c_{n}") for n, w, s in self._psi}
 
     _orthonormal = psi_coeffs
 
@@ -271,7 +271,7 @@ class FockElement(_Expansion):
 
     def to_dict(self):
         for (n, a), (_, w, _) in zip(self.coeffs, self._psi):
-            if w and abs(a) < 2.0**-1022:  # c_n != 0 whose a_n is zero or subnormal: a record cannot carry it
+            if w and abs(a) < _TINY:  # c_n != 0 whose a_n is zero or subnormal: a record cannot carry it
                 raise OverflowError(f"e_n coefficient a_{n} underflowed the double range")
         return super().to_dict()
 
@@ -279,8 +279,8 @@ class FockElement(_Expansion):
 def quasiperiod_factor(z, m, params):
     """Automorphy factor chi_alpha(m) * exp(nu*(z + m/2)*m) of the lattice step m."""
     m, z = _index(m, "lattice step"), _as_complex(z)
-    with _quiet(z):  # a factor that left the double range is raised by _finite
-        return _finite(_mul(character(params.alpha, m), _exp(params.nu * (z + m / 2.0) * m)), f"factor of step {m}")
+    with _quiet(z):  # a huge z may overflow before the exit
+        return _finite_exp(character(params.alpha, m), params.nu * (z + m / 2.0) * m, f"factor of step {m}")
 
 
 def quasiperiod_residual(f, z, m, params):

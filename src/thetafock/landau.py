@@ -42,7 +42,6 @@ a mode once per (m, n, nu, alpha), so the 17 calls of a stencil share them.
 import cmath
 import functools
 import math
-import sys
 
 from .core import EvaluationError, _as_complex, _finite, _finite_exp, _index, _mul, _quiet
 from .core import hermite_poly, np
@@ -55,8 +54,6 @@ SAMPLE_Z = (0.2 + 0.1j, 0.8 - 0.3j, 0.35 + 0.55j, 0.65 - 0.75j, 0.5 + 1.0j)
 # numpy divides a complex array by a real number as the product with its
 # reciprocal; the weights multiply by it on both routes
 _INV_STEP = 1.0 / STEP
-# exp(x) is a normal double for x in [_LOG_MIN, _LOG_MAX]
-_LOG_MIN, _LOG_MAX, _LN2 = math.log(sys.float_info.min), math.log(sys.float_info.max), math.log(2.0)
 
 # Offsets in units of STEP, by ring: the centre (ring 0), then the edges and
 # corners of the squares of half-width 1 (rings 1, 2) and 1/2 (rings 3, 4).
@@ -92,11 +89,9 @@ def basis_psi_mn(m, n, z, params):
 
     The normalization exponent is assembled in log space and combined with the
     mode exponent inside a single exp call, from constants formed once per
-    (m, n, nu, alpha).  Where that exponent leaves exp's normal range, H_m's
-    binary exponent moves into it first, so a subnormal exp loses no digits;
-    the one exit, core._finite_exp, raises OverflowError naming psi_{m,n} at
-    every level.  Where H_m itself overflows (from m ~ 200 at the bump's edge),
-    hermite_poly raises it.  A non-integral n raises DomainError.
+    (m, n, nu, alpha); H_m scales it through core._finite_exp, which names
+    psi_{m,n} at every level.  Where H_m itself overflows (from m ~ 200 at the
+    bump's edge), hermite_poly raises it.  A non-integral n raises DomainError.
     """
     m = m if type(m) is int and m >= 0 else _index(m, "level", 0)
     n = n if type(n) is int else _index(n)
@@ -107,20 +102,11 @@ def basis_psi_mn(m, n, z, params):
     except OverflowError:
         _finite(z, name)  # a non-finite point names the mode, as at level 0
         raise
-    if type(z) is complex:
-        expo = k0 + _mul(half * z, z) + lin * z
-        if not _LOG_MIN <= expo.real <= _LOG_MAX:
-            h, e = math.frexp(h)
-            expo += e * _LN2
-        return _finite_exp(h, expo, name)
-    z = _finite(z, name)  # as in fock.basis_e
+    if type(z) is not complex:
+        z = _finite(z, name)  # as in fock.basis_e
     expo = _mul(half * z, z)
-    expo += k0  # in place, rounded as (k0 + z^2 / 2) + lin z
+    expo += k0  # in place on an array: (k0 + z^2 / 2) + lin z, rounded alike on both routes
     expo += lin * z
-    if expo.size and not _LOG_MIN <= expo.real.min() <= expo.real.max() <= _LOG_MAX:
-        outside = (expo.real < _LOG_MIN) | (expo.real > _LOG_MAX)
-        mantissa, e = np.frexp(h)
-        expo, h = np.where(outside, expo + e * _LN2, expo), np.where(outside, mantissa, h)
     return _finite_exp(h, expo, name)
 
 

@@ -34,8 +34,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import DEFAULT_BUDGET, MAX_TERMS, DomainError, TruncationError, _as_complex, _exp, _finite, _imul
-from .core import _is_number, _mul, _quiet, np
+from .core import DEFAULT_BUDGET, MAX_TERMS, DomainError, TruncationError, _as_complex, _exp, _finite, _finite_exp
+from .core import _imul, _is_number, _mul, _quiet, np
 
 
 class ThetaArgs(namedtuple("ThetaArgs", "alpha beta tau")):
@@ -111,16 +111,14 @@ def _theta_exp(alpha, beta, tau, z, budget, logpref=0.0, invert=True):
 
 
 def _theta_value(what, alpha, beta, tau, z, budget, logpref=0.0, invert=True):
-    """exp(logpref) * theta_{alpha,beta}(z | tau) through _theta_exp, as a complex
-    scalar or ndarray; OverflowError naming `what` outside the double range.
-    Python numbers take the scalar route, with no numpy; arrays go through in
-    one pass, with the window walked in place."""
+    """exp(logpref) * theta_{alpha,beta}(z | tau) = exp(E) * S by _theta_exp, through core._finite_exp naming `what`:
+    a Python number takes the scalar route, with no numpy, an array one pass with the window walked in place."""
     if _is_number(z) and _is_number(logpref):
         E, S = _theta_exp(alpha, beta, tau, complex(z), budget, complex(logpref), invert)
-        return _finite(_mul(_exp(E), S), what)
-    with _quiet(z):
-        E, S = _theta_exp(alpha, beta, tau, z, budget, logpref, invert)
-        return _finite(_mul(np.exp(E), S), what)
+    else:
+        with _quiet(z):
+            E, S = _theta_exp(alpha, beta, tau, z, budget, logpref, invert)
+    return _finite_exp(S, E, what)
 
 
 def riemann_theta(args, z, budget=DEFAULT_BUDGET):

@@ -351,6 +351,8 @@ def criterion_truncation_soundness():
         lambda b: riemann_theta(ThetaArgs(0.3, 0.7, 1.5j), 0.1 + 0.05j, b),
         lambda b: reproducing_kernel(0.1 + 0.2j, 0.3 - 0.1j, params, b, path="sum"),
         lambda b: theta_membership(ThetaArgs(params.alpha, 0.1, 2.0j), params, b).norm,
+        lambda b: riemann_theta(ThetaArgs(0.3, 0.7, 1.55j), 0.1 + 0.05j, b),  # N = 2 at 1e-12, 3 at 1e-13
+        lambda b: bargmann_kernel_A(0.1 + 0.2j, 0.5, SpaceParams(0.7, 0.3), b),  # a window not inverted
     )
 
     def psi(n):

@@ -29,7 +29,7 @@ from thetafock.bargmann import (
     generating_kernel_sum,
     phi_basis,
 )
-from thetafock.core import hermite_poly
+from thetafock.core import _finite_exp, hermite_poly
 from thetafock.fock import (
     FockElement,
     SpaceParams,
@@ -279,9 +279,10 @@ def test_mode_arrays_equal_their_points_to_the_bit():
         [basis_psi_mn(1, 0, complex(x), SpaceParams(1.0, 0.0)) for x in z]).tobytes()
 
 
-def test_modes_equal_their_arrays_to_the_bit_at_the_top_of_exp():
+def test_modes_equal_their_arrays_to_the_bit_at_the_top_of_exp(monkeypatch):
     # exponents with real part in [700, 709.78]: above log(DBL_MAX / 4) ~ 708.4 cmath.exp rounds as exp(x - 1) * e,
-    # np.exp as exp(x) (cos y, sin y) with an exp(709) step above 709, and a number's exp must take np.exp's steps
+    # np.exp as exp(x) (cos y, sin y) with an exp(709) step above 709, and a number's exp must take np.exp's steps;
+    # theta, K and theta members at exit exponents E with |Re E| > 708, where the exit shifts S's binary exponent
     rng = np.random.default_rng(30)
     params = SpaceParams(1.0, 0.0)
     k0 = {m: _mode_constants(m, 0, params.nu, params.alpha)[0] for m in (0, 3)}  # psi_{m,0}'s exponent at z = 0
@@ -303,6 +304,38 @@ def test_modes_equal_their_arrays_to_the_bit_at_the_top_of_exp():
             x = at(top, y)
             scalar, array = f(x), f(np.array([x]))
             assert scalar == array[0], (name, x, scalar, array[0])
+    exits = []  # the exponent E of each theta exit, exp(E) * S
+    monkeypatch.setattr("thetafock.theta._finite_exp", lambda s, e, what: exits.append(e) or _finite_exp(s, e, what))
+    seen = set()
+    for _ in range(100):
+        nu, t, top, u = np.exp(rng.uniform(math.log(0.5), math.log(10.0))), *rng.uniform((0.8, 705.0, 0.0), (3, 725, 1))
+        params, below = SpaceParams(float(nu), float(rng.uniform(-0.5, 0.5))), rng.uniform() < 0.3
+        args = ThetaArgs(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), complex(rng.uniform(-0.5, 0.5), t))
+        member = ThetaArgs(params.alpha, args.beta, args.tau.real + 2j * math.pi * (1.0 + t) / nu)  # > 2 pi i / nu
+        kernel = ThetaArgs(params.alpha, 0.0, 2j * math.pi / nu)
+        near = 10.0 ** rng.uniform(-7.0, -3.0) * complex(math.cos(2e3 * top), math.sin(2e3 * top))
+        y, w = math.sqrt(2.0 * top / nu), complex(math.sqrt(top / nu), u - 0.5)
+
+        def zero(a, shift):  # `near` off the zero (1/2 - beta) + (1/2 - alpha) tau of theta_{alpha,beta}, plus shift
+            return (0.5 - a.beta) + (0.5 - a.alpha) * a.tau + near + shift
+
+        cases = {  # next to a zero of theta (a small S) where Re E is about top, or at Re E about -top if below
+            "riemann_theta": (lambda x: riemann_theta(args, x),
+                              zero(args, round(math.sqrt(top / math.pi / t)) * args.tau)),
+            "theta member": (theta_member(member, params),
+                             complex(u, y * math.sqrt(1.0 + 1.0 / t)) if below else zero(member, round(y))),
+            "kernel theta": (lambda x: reproducing_kernel(x, x.conjugate() + 0.5 if below else w, params),
+                             complex(u, y) / math.sqrt(2.0) if below else zero(kernel, w.conjugate())),
+        }
+        for name, (f, x) in cases.items():
+            exits.clear()
+            (scalar, error), (array, array_error) = _outcome(f, x), _outcome(f, np.array([x]))
+            assert error == array_error and (error or scalar == array[0]), (name, x, scalar, error, array_error)
+            E = exits[0].real
+            if abs(E) > 708.0:
+                seen.add((name, "below" if E < 0 else "in" if E < 709.78 else "past", "raises" if error else "value"))
+    assert seen >= {(name, "past", kind) for name in cases for kind in ("value", "raises")} | {
+        ("theta member", "below", "value"), ("kernel theta", "below", "value")}
 
 
 # numpy scalars and the Python numbers the scalar route admits, each from a draw's point z

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from thetafock.bargmann import bargmann_kernel_A, generating_kernel_G, generating_kernel_sum
-from thetafock.core import DomainError, TruncationError
+from thetafock.core import DEFAULT_BUDGET, DomainError, TruncationError
 from thetafock.fock import SpaceParams, reproducing_kernel, theta_member
 from thetafock.landau import annihilation_apply, basis_psi_mn, creation_apply, landau_apply
-from thetafock.theta import ThetaArgs, jacobi_theta3, riemann_theta
+from thetafock.theta import ThetaArgs, _theta_exp, jacobi_theta3, riemann_theta
 
 REL = 1e-9
 NUS = (0.5, math.pi, 50.0, 300.0, 1000.0)
@@ -151,6 +151,23 @@ def test_theta_path_fault_inputs_pass():
         kzz = reproducing_kernel(z, z, SpaceParams(math.pi, 0.0))
         assert rel_err(kzz, mp_kernel(z, z, math.pi, 0.0)) <= REL
     assert rel_err(reproducing_kernel(0.3 + 11j, 0.3 + 11j, SpaceParams(math.pi, 0.0)), 2.3146e165) < 1e-4
+
+
+def test_theta_member_whose_exponent_alone_overflows():
+    # at w, 1e-6 from a zero of theta, Re E > log DBL_MAX while |f(w)| = 5.01e307: the exit moves S's binary exponent
+    # into E.  The window cancels next to the zero, so the error is 2.6e-9 there and alike at w - 1, where exp(E) is
+    # in range; only frexp's shift is made, so a value within a factor 2 of DBL_MAX (1.50e308 at w + 2e-6) raises
+    nu, args = math.pi, ThetaArgs(0.3, 0.1, 0.2 + 2j)
+    f = theta_member(args, SpaceParams(nu, 0.3))
+    w = 21.44 + 0.4j + 1e-6
+    assert _theta_exp(args.alpha, args.beta, args.tau, w, DEFAULT_BUDGET, 0.5 * nu * w * w)[0].real > 709.79
+    for z in (w, w - 1.0):
+        value = f(z)
+        assert value == f(np.array([z]))[0]
+        assert rel_err(value, complex(mp.exp(nu / 2 * mpc(z) ** 2) * mp_theta(0.3, 0.1, args.tau, z))) <= 1e-8
+    assert abs(f(w)) > 5e307
+    with pytest.raises(OverflowError, match="theta member"):
+        f(w + 2e-6)
 
 
 def test_sum_paths_raise_on_cancellation():
