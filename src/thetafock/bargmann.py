@@ -73,7 +73,7 @@ class LineElement(_Expansion):
             if d not in powers:
                 powers[d] = _exp(s * SQRT2 * 1j * math.pi * d * q)
             total = _mul(total, powers[d]) + b
-        return _mul(2.0 ** (-0.25) * _exp(SQRT2 * 1j * math.pi * (last + self.alpha) * q), total)
+        return _finite_exp(2.0 ** (-0.25) * total, SQRT2 * 1j * math.pi * (last + self.alpha) * q, "element value")
 
     def _header(self):
         return {"alpha": self.alpha}

@@ -194,23 +194,23 @@ def _finite(vals, what):
 
 
 def _finite_exp(scale, expo, what):
-    """scale * exp(expo) through _finite, by the module's overflow rule; a complex scale's product rounds as _mul.  A
-    complex ndarray expo is consumed: the exp and the scaling run in place in it, under _quiet.  A Python number
-    enters no context manager, since the sum oracles call the modes term by term."""
-    if type(expo) is complex:
+    """scale * exp(expo) through _finite, by the module's overflow rule; the shift multiplies scale by a power of two,
+    exact where the result is normal, and a subnormal scale shifts as the least normal.  A complex scale's product
+    rounds as _mul.  An ndarray expo is consumed in place, under _quiet; a number, numpy's too, enters no context."""
+    if isinstance(expo, complex):
         if not _LOG_MIN <= expo.real <= _LOG_MAX:  # a nan too
-            e = math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
-            expo, m = complex(expo.real + e * _LN2, expo.imag), math.ldexp(scale.real, -e)
-            scale = complex(m, math.ldexp(scale.imag, -e)) if isinstance(scale, complex) else m
+            e = max(math.frexp(max(abs(scale.real), abs(scale.imag)))[1], sys.float_info.min_exp)
+            expo, scale = complex(expo.real + e * _LN2, expo.imag), scale * math.ldexp(1.0, -e)
         return _finite(_mul(scale, _exp(expo)) if isinstance(scale, complex) else scale * _exp(expo), what)
     with _quiet(expo):
-        r, cplx = expo.real.copy(), np.asarray(scale).dtype.kind == "c"  # r contiguous: min and max cost half
+        r = expo.real.copy()  # contiguous: its min and max cost half the strided view's
         if r.size and not _LOG_MIN <= r.min() <= r.max() <= _LOG_MAX:
-            e = np.where((r < _LOG_MIN) | (r > _LOG_MAX), np.frexp(np.maximum(abs(scale.real), abs(scale.imag)))[1], 0)
+            e = np.maximum(np.frexp(np.maximum(abs(scale.real), abs(scale.imag)))[1], sys.float_info.min_exp)
+            e = np.where((r < _LOG_MIN) | (r > _LOG_MAX), e, 0)
             expo.real += e * _LN2
-            scale = np.ldexp(scale.real, -e) + 1j * np.ldexp(scale.imag, -e) if cplx else np.ldexp(scale, -e)
+            scale = scale * np.ldexp(1.0, -e)
         np.exp(expo, out=expo)
-        if cplx:
+        if np.asarray(scale).dtype.kind == "c":
             return _finite(_imul(expo, scale, (np.empty(expo.shape), np.empty(expo.shape))), what)
         return _finite(np.multiply(scale, expo, out=expo), what)  # scale first: numpy may fuse a complex product
 

@@ -170,6 +170,16 @@ def test_theta_member_whose_exponent_alone_overflows():
         f(w + 2e-6)
 
 
+def test_numpy_characteristics_on_a_number():
+    # numpy floats alpha and beta make E a numpy complex on a Python-number z: the exit takes it as a number, with
+    # the value of Python floats, in range and past exp's overflow
+    args, np_args = ThetaArgs(0.3, 0.1, 0.2 + 2j), ThetaArgs(np.float64(0.3), np.float64(0.1), 0.2 + 2j)
+    params = SpaceParams(math.pi, 0.3)
+    assert riemann_theta(np_args, 0.1 + 0.1j) == riemann_theta(args, 0.1 + 0.1j)
+    for z in (0.1 + 0.1j, 21.44 + 0.4j + 1e-6):
+        assert theta_member(np_args, params)(z) == theta_member(args, params)(z)
+
+
 def test_sum_paths_raise_on_cancellation():
     with np.errstate(over="ignore"):
         with pytest.raises(TruncationError):
