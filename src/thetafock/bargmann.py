@@ -66,14 +66,14 @@ class LineElement(_Expansion):
             out[~below], out[below] = self._horner(q[~below], 1), self._horner(q[below], -1)
             yield out
 
-    def _horner(self, q, s):  # one exp per distinct gap, one for the last mode
+    def _horner(self, q, s):  # one exp per distinct gap, one for the last mode and 2^(-1/4): total stays exact
         (last, total), powers = self.coeffs[-1 if s > 0 else 0], {}
         for n, b in self.coeffs[-2::-1] if s > 0 else self.coeffs[1:]:
             d, last = abs(last - n), n
             if d not in powers:
                 powers[d] = _exp(s * SQRT2 * 1j * math.pi * d * q)
             total = _mul(total, powers[d]) + b
-        return _finite_exp(2.0 ** (-0.25) * total, SQRT2 * 1j * math.pi * (last + self.alpha) * q, "element value")
+        return _finite_exp(total, SQRT2 * 1j * math.pi * (last + self.alpha) * q - math.log(2.0) / 4, "element value")
 
     def _header(self):
         return {"alpha": self.alpha}

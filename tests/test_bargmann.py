@@ -194,15 +194,18 @@ def test_element_value_past_the_double_range_raises():
             bargmann_inverse(FockElement.from_psi_coeffs(PARAMS, {0: 1e308, 1: 1e308}), 0.0)
 
 
-def test_line_element_whose_exponential_alone_underflows():
-    # at q = 1.65i, e^(sqrt(2) i pi 100 q) = e^-733 is subnormal while 1e300 times it is 3.58e-19: the element
-    # leaves through core._finite_exp, which moves the coefficient's binary exponent into the exponent first
-    elem, q = LineElement(0.0, {100: 1e300}), 1.65j
-    with mp.workdps(40):
-        ref = complex(mp.mpf(1e300) * _mp_phi(100, mp.mpc(q), 0.0))
-    value = elem.evaluate(q)
-    assert value == elem.evaluate(np.array([q]))[0]
-    assert abs(value - ref) <= 1e-12 * abs(ref)  # the parent's product read 7.0e-6 off
+def test_line_element_whose_exponential_alone_leaves_the_double_range():
+    # the element leaves through core._finite_exp, which moves the coefficient's binary exponent into the exponent:
+    # e^-733 at q = 1.65i is subnormal while 1e300 times it is 3.58e-19 (a product with it was 7.0e-6 off), and
+    # e^733 at -1.65i overflows while 1e-320 times it is 0.0197, a subnormal coefficient shifted as the least normal.
+    # 2^(-1/4) rides in the exponent, so a subnormal coefficient keeps its bits in range too (at -1.5i)
+    for b, q in ((1e300, 1.65j), (1e-320, -1.65j), (1e-320, -1.5j)):
+        elem = LineElement(0.0, {100: b})
+        with mp.workdps(40):
+            ref = complex(mp.mpf(b) * _mp_phi(100, mp.mpc(q), 0.0))
+        value = elem.evaluate(q)
+        assert value == elem.evaluate(np.array([q]))[0]
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_round_trip_composition():

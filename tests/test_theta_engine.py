@@ -159,25 +159,16 @@ def test_theta_member_whose_exponent_alone_overflows():
     # in range; only frexp's shift is made, so a value within a factor 2 of DBL_MAX (1.50e308 at w + 2e-6) raises
     nu, args = math.pi, ThetaArgs(0.3, 0.1, 0.2 + 2j)
     f = theta_member(args, SpaceParams(nu, 0.3))
+    g = theta_member(ThetaArgs(np.float64(0.3), np.float64(0.1), args.tau), SpaceParams(nu, 0.3))  # E a numpy complex
     w = 21.44 + 0.4j + 1e-6
     assert _theta_exp(args.alpha, args.beta, args.tau, w, DEFAULT_BUDGET, 0.5 * nu * w * w)[0].real > 709.79
     for z in (w, w - 1.0):
         value = f(z)
-        assert value == f(np.array([z]))[0]
+        assert value == f(np.array([z]))[0] == g(z)
         assert rel_err(value, complex(mp.exp(nu / 2 * mpc(z) ** 2) * mp_theta(0.3, 0.1, args.tau, z))) <= 1e-8
     assert abs(f(w)) > 5e307
     with pytest.raises(OverflowError, match="theta member"):
         f(w + 2e-6)
-
-
-def test_numpy_characteristics_on_a_number():
-    # numpy floats alpha and beta make E a numpy complex on a Python-number z: the exit takes it as a number, with
-    # the value of Python floats, in range and past exp's overflow
-    args, np_args = ThetaArgs(0.3, 0.1, 0.2 + 2j), ThetaArgs(np.float64(0.3), np.float64(0.1), 0.2 + 2j)
-    params = SpaceParams(math.pi, 0.3)
-    assert riemann_theta(np_args, 0.1 + 0.1j) == riemann_theta(args, 0.1 + 0.1j)
-    for z in (0.1 + 0.1j, 21.44 + 0.4j + 1e-6):
-        assert theta_member(np_args, params)(z) == theta_member(args, params)(z)
 
 
 def test_sum_paths_raise_on_cancellation():
